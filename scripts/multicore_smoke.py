@@ -4,14 +4,15 @@
 Two halves:
 
 1. **Solo-equivalence oracle** — a scenario with one active core (idle
-   neighbor) routed through the full shared-uncore + turnstile stack
+   neighbor) routed through the full shared-uncore + lockstep stack
    must be bit-identical to the single-core pipeline for a basket of
    registry workloads on both Rocket and BOOM, with exactly zero
    neighbor-induced attribution.
 2. **Scenario registry sweep** — every named scenario runs at small
-   scale and must satisfy the attribution invariants: level-1 TMA slots
-   sum to 1.0, ``self + neighbor == mem_bound`` exactly per core, and
-   repeated runs are bit-identical (lockstep determinism).
+   scale under every arbitration order and must satisfy the attribution
+   invariants: level-1 TMA slots sum to 1.0, ``self + neighbor ==
+   mem_bound`` exactly per core, and repeated runs are bit-identical
+   (lockstep determinism).
 
 Exits non-zero on the first violated expectation.  Run under
 ``REPRO_TIMING_ENGINE=objects`` as well: the solo oracle must hold on
@@ -74,8 +75,8 @@ def core_digest(core):
 
 def main():
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="mc-smoke-")
-    from repro.multicore import (CoreSlot, Scenario, get_scenario,
-                                 run_scenario, scenario_names)
+    from repro.multicore import (ARBITRATIONS, CoreSlot, Scenario,
+                                 get_scenario, run_scenario, scenario_names)
     from repro.tools.tma_tool import run_core
     from repro.cores import config_by_name
 
@@ -100,21 +101,24 @@ def main():
 
     print("scenario registry invariants:")
     for name in scenario_names():
-        scenario = get_scenario(name).with_overrides(scale=SCALE)
-        first = run_scenario(scenario)
-        again = run_scenario(scenario)
-        check([core_digest(c) for c in first.cores]
-              == [core_digest(c) for c in again.cores],
-              f"{name}: repeated runs bit-identical")
-        for core in first.cores:
-            level1_sum = sum(core.tma.level1.values())
-            check(abs(level1_sum - 1.0) < 1e-9,
-                  f"{name} core {core.index}: level-1 sums to 1.0")
-            attribution = core.attribution
-            check(attribution.self_share + attribution.neighbor_share
-                  == attribution.mem_bound,
-                  f"{name} core {core.index}: "
-                  f"self + neighbor == mem_bound exactly")
+        for arbitration in ARBITRATIONS:
+            label = f"{name} ({arbitration})"
+            scenario = get_scenario(name).with_overrides(
+                scale=SCALE, arbitration=arbitration)
+            first = run_scenario(scenario)
+            again = run_scenario(scenario)
+            check([core_digest(c) for c in first.cores]
+                  == [core_digest(c) for c in again.cores],
+                  f"{label}: repeated runs bit-identical")
+            for core in first.cores:
+                level1_sum = sum(core.tma.level1.values())
+                check(abs(level1_sum - 1.0) < 1e-9,
+                      f"{label} core {core.index}: level-1 sums to 1.0")
+                attribution = core.attribution
+                check(attribution.self_share + attribution.neighbor_share
+                      == attribution.mem_bound,
+                      f"{label} core {core.index}: "
+                      f"self + neighbor == mem_bound exactly")
     print("SMOKE PASS")
 
 

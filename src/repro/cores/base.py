@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Protocol
+from typing import Dict, Generator, List, Mapping, Optional, Protocol
 
 from ..isa.errors import RunTimeout
 from ..uarch.branch import PredictorStats
@@ -106,6 +106,20 @@ def check_run_completed(retired: int, total: int, cycle: int,
             f"{retired}/{total} instructions retired",
             invariant="run-completion", workload=workload,
             observed=retired, expected=total)
+
+
+#: A core's per-cycle step generator (``core.steps``): it yields once at
+#: the top of every simulated cycle and returns the run's result.
+CoreSteps = Generator[None, None, "CoreResult"]
+
+
+def run_steps(steps: CoreSteps) -> "CoreResult":
+    """Drive a per-cycle step generator to the end; return its result."""
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass(frozen=True)

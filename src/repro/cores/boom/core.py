@@ -31,9 +31,9 @@ from ...uarch.branch import BoomBranchPredictor, Prediction
 from ...uarch.cache import MemorySystem, NonBlockingCache
 from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
-from ..base import (BoomConfig, CoreFaultHook, CoreResult, EventAccumulator,
-                    SignalObserver, check_cycle_budget, check_run_completed,
-                    resolve_timing_engine)
+from ..base import (BoomConfig, CoreFaultHook, CoreResult, CoreSteps,
+                    EventAccumulator, SignalObserver, check_cycle_budget,
+                    check_run_completed, resolve_timing_engine, run_steps)
 from ..configs import LARGE_BOOM
 from ..descriptors import build_boom_table
 
@@ -203,6 +203,24 @@ class BoomCore:
     def _run_objects(self, trace: DynamicTrace, max_cycles: Optional[int],
                      fast_path: bool) -> CoreResult:
         """The ``DynInst``/``_Uop``-walking loop (the reference oracle)."""
+        return run_steps(self.steps(trace, max_cycles, fast_path))
+
+    def steps(self, trace: DynamicTrace, max_cycles: Optional[int] = None,
+              fast_path: Optional[bool] = None) -> CoreSteps:
+        """The object loop as a generator, one ``yield`` per cycle.
+
+        Each ``next()`` simulates one cycle and parks at the top of the
+        following one; the first ``next()`` runs the set-up and parks at
+        the top of cycle 0.  The generator returns the
+        :class:`CoreResult`.  :meth:`_run_objects` drives it straight to
+        the end; the multicore harness interleaves several cores' steps
+        over one shared uncore.  The caller resets per-run state first.
+
+        *fast_path* reuses one per-cycle signal record; ``None`` reuses
+        it exactly when no observer could retain it.
+        """
+        if fast_path is None:
+            fast_path = not self.observers
         config = self.config
         w_c = config.decode_width
         issue_ports = (config.issue_int, config.issue_mem, config.issue_fp)
@@ -253,6 +271,7 @@ class BoomCore:
                 check_cycle_budget(cycle, max_cycles,
                                    workload=trace.program_name,
                                    retired=retired, total=total)
+            yield
             if fault_hook is not None and fault_hook.stall_cycle(cycle):
                 # Injected stall: the whole core freezes this cycle.
                 cycle += 1

@@ -20,7 +20,9 @@ Two execution paths produce bit-identical results (docs/performance.md):
 
 - the *traced* path materializes the per-cycle signal dictionary and
   feeds it to attached :class:`SignalObserver` instances — required by
-  the PMU counter models and the cycle tracer;
+  the PMU counter models and the cycle tracer.  It is a per-cycle
+  generator (:meth:`RocketCore.steps`), so the multicore harness can
+  step several cores in lockstep on one thread;
 - the *fast* path (used automatically when no observer or fault hook is
   attached, forceable via ``run(..., fast_path=...)``) skips the
   per-cycle record allocation entirely and accumulates event totals
@@ -38,9 +40,9 @@ from ...isa.instructions import InstrClass
 from ...uarch.branch import Prediction, RocketBranchPredictor
 from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
-from ..base import (CoreFaultHook, CoreResult, EventAccumulator,
+from ..base import (CoreFaultHook, CoreResult, CoreSteps, EventAccumulator,
                     RocketConfig, SignalObserver, check_cycle_budget,
-                    check_run_completed, resolve_timing_engine)
+                    check_run_completed, resolve_timing_engine, run_steps)
 from ..descriptors import build_rocket_table
 
 _SAFETY_CYCLES_PER_INST = 400
@@ -164,6 +166,19 @@ class RocketCore:
 
     def _run_traced(self, trace: DynamicTrace,
                     max_cycles: Optional[int]) -> CoreResult:
+        return run_steps(self.steps(trace, max_cycles))
+
+    def steps(self, trace: DynamicTrace,
+              max_cycles: Optional[int] = None) -> CoreSteps:
+        """The traced loop as a generator, one ``yield`` per cycle.
+
+        Each ``next()`` simulates one cycle and parks at the top of the
+        following one; the first ``next()`` runs the set-up and parks at
+        the top of cycle 0.  The generator returns the
+        :class:`CoreResult`.  :meth:`_run_traced` drives it straight to
+        the end; the multicore harness interleaves several cores' steps
+        over one shared uncore.  The caller resets per-run state first.
+        """
         config = self.config
         accumulator = EventAccumulator()
         observers = self.observers
@@ -197,6 +212,7 @@ class RocketCore:
                 check_cycle_budget(cycle, max_cycles,
                                    workload=trace.program_name,
                                    retired=retired, total=total)
+            yield
             if fault_hook is not None and fault_hook.stall_cycle(cycle):
                 # Injected stall: the whole core freezes this cycle.
                 cycle += 1

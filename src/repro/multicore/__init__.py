@@ -10,7 +10,8 @@ Public surface:
   the named scenario registry (``noisy-neighbor``, ``symmetric``,
   ``latency-victim``);
 - :class:`SharedUncore` — the shared L2 + DRAM-bus model itself, for
-  callers composing custom topologies.
+  callers composing custom topologies;
+- :data:`ARBITRATIONS` — the within-cycle uncore arbitration orders.
 """
 
 from .attribution import Attribution, attribute_mem_bound
@@ -23,8 +24,8 @@ from .harness import (
     run_scenario_payload,
     scenario_cache_key,
 )
-from .lockstep import ARBITRATIONS, CycleTurnstile, LockstepError, TurnstileHook
 from .scenarios import (
+    ARBITRATIONS,
     MAX_CORES,
     SCENARIOS,
     CoreSlot,
@@ -40,9 +41,7 @@ __all__ = [
     "COLOR_SHIFT",
     "CoreInterference",
     "CoreSlot",
-    "CycleTurnstile",
     "L2View",
-    "LockstepError",
     "MAX_CORES",
     "MulticoreError",
     "MulticoreResult",
@@ -50,7 +49,6 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "SharedUncore",
-    "TurnstileHook",
     "attribute_mem_bound",
     "get_scenario",
     "multicore_fingerprint",

@@ -7,32 +7,34 @@ TMA and the self-vs-neighbor Memory-Bound split.
 
 Two execution paths:
 
-- **One active core** (every other slot idle): no threads, no turnstile
-  — the core is built exactly the way the single-core pipeline builds
-  it and runs on the requested timing engine.  This path is *bit-
-  identical* to :func:`repro.tools.tma_tool.run_core` by construction
-  and is what the solo-oracle tests pin.  ``force_lockstep=True``
-  instead routes the single core through the full uncore + turnstile
-  stack (the traced engine), which the equivalence tests use to pin the
-  shared path itself against the solo oracle.
-- **Multiple active cores**: one thread per core, each attached to a
-  :class:`~repro.multicore.lockstep.TurnstileHook` (which forces the
-  traced per-cycle loop — pinned bit-identical to the fast engines by
-  the tier-1 suite), sharing one uncore.  Deterministic by
-  construction: the turnstile serializes cycles in arbitration order,
-  so repeated runs are identical.
+- **One active core** (every other slot idle): the core is built
+  exactly the way the single-core pipeline builds it and runs on the
+  requested timing engine.  This path is *bit-identical* to
+  :func:`repro.tools.tma_tool.run_core` by construction and is what the
+  solo-oracle tests pin.  ``force_lockstep=True`` instead routes the
+  single core through the full uncore + lockstep stack, which the
+  equivalence tests use to pin the shared path itself against the solo
+  oracle.
+- **Multiple active cores**: every core's traced per-cycle loop (pinned
+  bit-identical to the fast engines by the tier-1 suite) runs as a
+  generator, ``core.steps``, that parks at the top of each cycle.  One
+  plain loop on the calling thread advances every running core by one
+  cycle in the cycle's arbitration order, so the shared uncore sees a
+  fixed global (cycle, arbitration) order and repeated runs are
+  identical.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
-import threading
+import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.tma import TmaResult, compute_tma
-from ..cores.base import CoreResult, RocketConfig
+from ..cores.base import CoreResult, CoreSteps, RocketConfig
 from ..cores.boom import BoomCore
 from ..cores.batch import resolve_config_spec
 from ..cores.rocket import RocketCore
@@ -47,7 +49,6 @@ from ..uarch.cache import (
 )
 from ..workloads import build_trace
 from .attribution import Attribution, attribute_mem_bound
-from .lockstep import CycleTurnstile, LockstepError, TurnstileHook
 from .scenarios import CoreSlot, Scenario, get_scenario
 from .uncore import RequestorMetrics, SharedUncore
 
@@ -168,17 +169,31 @@ def _shared_memory(uncore: SharedUncore, requestor: int,
 
 
 def _solo_metrics(result: CoreResult) -> RequestorMetrics:
-    """Uncore metrics equivalent for the threadless solo fast path."""
+    """Uncore metrics equivalent for the solo shortcut."""
     stats = result.l2_stats
     return RequestorMetrics(accesses=stats.accesses, misses=stats.misses,
                             self_misses=stats.misses)
 
 
+def _cycle_orders(arbitration: str,
+                  n_active: int) -> List[Tuple[int, ...]]:
+    """Core visiting orders, one per cycle, indexed by ``cycle % len``.
+
+    ``fcfs`` visits the cores in order every cycle.  ``round-robin``
+    sorts by ``(ordinal - cycle) % n_active``: the first slot rotates
+    each cycle.  *n_active* is fixed at the start, so a finished core
+    keeps its place in the rotation.
+    """
+    if arbitration == "fcfs":
+        return [tuple(range(n_active))]
+    return [tuple((first + k) % n_active for k in range(n_active))
+            for first in range(n_active)]
+
+
 def run_scenario(scenario: Union[str, Scenario], *,
                  engine: Optional[str] = None,
                  max_cycles: Optional[int] = None,
-                 force_lockstep: bool = False,
-                 lockstep_timeout: float = 300.0) -> MulticoreResult:
+                 force_lockstep: bool = False) -> MulticoreResult:
     """Run *scenario* (a name or a :class:`Scenario`) to completion."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -186,8 +201,8 @@ def run_scenario(scenario: Union[str, Scenario], *,
     active = scenario.active_slots()
     started = time.monotonic()
 
-    # The threadless shortcut runs the stock single-core hierarchy, so
-    # it only serves scenarios with the stock L2 geometry.
+    # The solo shortcut runs the stock single-core hierarchy, so it
+    # only serves scenarios with the stock L2 geometry.
     if len(active) == 1 and not force_lockstep and scenario.l2_kib is None:
         index, slot = active[0]
         trace = build_trace(slot.workload, scale=scenario.scale)
@@ -207,56 +222,39 @@ def run_scenario(scenario: Union[str, Scenario], *,
             slots=list(scenario.slots), cores=cores,
             wall_s=time.monotonic() - started)
 
-    # Traces are built up front (and cached), so no thread ever blocks
-    # the turnstile on functional execution.
-    traces = {i: build_trace(slot.workload, scale=scenario.scale)
-              for i, slot in active}
     uncore = SharedUncore(len(scenario.slots),
                           l2_config=_l2_config(scenario),
                           shared_bus=scenario.shared_bus)
-    turnstile = CycleTurnstile(len(active),
-                               arbitration=scenario.arbitration,
-                               timeout=lockstep_timeout)
+    running: Dict[int, CoreSteps] = {}
+    for ordinal, (index, slot) in enumerate(active):
+        trace = build_trace(slot.workload, scale=scenario.scale)
+        core = _make_core(slot, memory=_shared_memory(uncore, index, slot))
+        core.reset_run_state()
+        running[ordinal] = core.steps(trace, max_cycles)
     results: Dict[int, CoreResult] = {}
-    errors: Dict[int, BaseException] = {}
 
-    def drive(ordinal: int, index: int, slot: CoreSlot) -> None:
+    def advance(ordinal: int) -> None:
         try:
-            core = _make_core(slot, memory=_shared_memory(uncore, index,
-                                                          slot))
-            core.fault_hook = TurnstileHook(turnstile, ordinal)
-            results[index] = core.run(traces[index],
-                                      max_cycles=max_cycles)
-        except BaseException as exc:  # noqa: BLE001 - relayed below
-            errors[index] = exc
-            turnstile.fail(ordinal, exc)
-        finally:
-            turnstile.finish(ordinal)
+            next(running[ordinal])
+        except StopIteration as done:
+            del running[ordinal]
+            results[active[ordinal][0]] = done.value
+        except Exception as exc:
+            index, slot = active[ordinal]
+            raise MulticoreError(
+                f"scenario {scenario.name!r} core {index} "
+                f"({slot.workload}) failed: {exc}") from exc
 
-    threads = [
-        threading.Thread(target=drive, args=(ordinal, index, slot),
-                         name=f"mc-{scenario.name}-core{index}",
-                         daemon=True)
-        for ordinal, (index, slot) in enumerate(active)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    if errors:
-        index = min(errors)
-        first = errors[index]
-        # A LockstepError is collateral damage from another core's
-        # failure; prefer reporting a root cause when one exists.
-        for i in sorted(errors):
-            if not isinstance(errors[i], LockstepError):
-                index, first = i, errors[i]
-                break
-        raise MulticoreError(
-            f"scenario {scenario.name!r} core {index} "
-            f"({scenario.slots[index].workload}) failed: {first}"
-        ) from first
+    # Priming runs each core's set-up and parks it at the top of cycle 0.
+    for ordinal in range(len(active)):
+        advance(ordinal)
+    orders = _cycle_orders(scenario.arbitration, len(active))
+    cycle = 0
+    while running:
+        for ordinal in orders[cycle % len(orders)]:
+            if ordinal in running:
+                advance(ordinal)
+        cycle += 1
 
     cores = []
     for index, slot in active:
@@ -281,27 +279,25 @@ def run_scenario(scenario: Union[str, Scenario], *,
 # Cached payload entry point (CLI --json and the service job reuse it)
 
 
-_MULTICORE_MODULES = ("uncore", "lockstep", "scenarios", "attribution",
-                      "harness")
-
 _fingerprint_cache: Optional[str] = None
 
 
+def _source_fingerprint(package_dir: str) -> str:
+    """Model fingerprint extended with every module under *package_dir*."""
+    digest = hashlib.sha256(cache.model_fingerprint().encode())
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        digest.update(os.path.basename(path).encode())
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 def multicore_fingerprint() -> str:
-    """Model fingerprint extended with the multicore modules' source."""
+    """Model fingerprint extended with the multicore package's source."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
-        import importlib
-        import os
-
-        digest = hashlib.sha256(cache.model_fingerprint().encode())
-        for name in _MULTICORE_MODULES:
-            module = importlib.import_module(f"repro.multicore.{name}")
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint_cache = digest.hexdigest()[:16]
+        _fingerprint_cache = _source_fingerprint(
+            os.path.dirname(os.path.abspath(__file__)))
     return _fingerprint_cache
 
 

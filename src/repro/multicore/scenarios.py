@@ -25,9 +25,16 @@ from typing import Dict, List, Optional, Tuple
 from ..cores.batch import resolve_config_spec
 from ..workloads.registry import IDLE_WORKLOAD, get_workload, is_idle
 
-#: Hard cap on scenario width (the harness steps cores in lockstep on
-#: threads; beyond 4 the turnstile overhead swamps simulation).
+#: Hard cap on scenario width: the harness steps every core on one
+#: thread, so wall time grows linearly with the core count.
 MAX_CORES = 4
+
+#: Who goes first at the shared uncore *within* a cycle:
+#:
+#: - ``round-robin``: the first slot rotates each cycle, so no requestor
+#:   is structurally favored at the shared L2/bus;
+#: - ``fcfs``: fixed priority by core order (the first core always first).
+ARBITRATIONS = ("round-robin", "fcfs")
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,10 @@ class Scenario:
         if all(slot.idle for slot in self.slots):
             raise ValueError(
                 f"scenario {self.name!r} has no active core")
+        if self.arbitration not in ARBITRATIONS:
+            raise ValueError(
+                f"scenario {self.name!r}: unknown arbitration "
+                f"{self.arbitration!r}; expected one of {ARBITRATIONS}")
         if self.l2_kib is not None and self.l2_kib < 1:
             raise ValueError(
                 f"scenario {self.name!r}: l2_kib must be positive")

@@ -771,11 +771,12 @@ def _bench_multicore(scale: float) -> Dict:
 
     Runs ``noisy-neighbor`` fresh through the lockstep harness and
     records the victim's neighbor-induced attribution (deterministic —
-    the turnstile serializes cycles), plus two identity checks the gate
-    enforces: Memory-Bound conservation (``self + neighbor ==
-    mem_bound`` exactly on every core) and the solo-equivalence oracle
-    (one active core through the full uncore + turnstile stack must be
-    bit-identical to the single-core pipeline).
+    one thread steps the cores' per-cycle generators in a fixed
+    arbitration order), plus two identity checks the gate enforces:
+    Memory-Bound conservation (``self + neighbor == mem_bound`` exactly
+    on every core) and the solo-equivalence oracle (one active core
+    through the full uncore + lockstep stack must be bit-identical to
+    the single-core pipeline).
     """
     from ..multicore import CoreSlot, Scenario, get_scenario, run_scenario
     from .tma_tool import run_core
@@ -1033,8 +1034,9 @@ def run_benchmarks(
         "fastpath": _bench_fastpath(workloads, scale, inject_slowdown),
         "timing": _bench_timing(scale, workers),
         "parallel": _bench_parallel(workloads, scale, workers),
-        # Fixed small scale: the lockstep harness serializes cycles
-        # across cores, so the section stays CI-cheap at any mode.
+        # Fixed small scale: the lockstep harness steps the cores one
+        # cycle at a time on one thread, so the section stays CI-cheap
+        # at any mode.
         "multicore": _bench_multicore(0.3),
         # Fixed small basket: the routed-vs-single ratio is about the
         # service tier, not the simulator, so it stays CI-cheap too.
@@ -1123,7 +1125,7 @@ def compare_benchmarks(
     if not multicore.get("solo_identical", True):
         problems.append(
             "multicore.solo_identical: one core through the shared "
-            "uncore + turnstile diverged from the single-core pipeline"
+            "uncore + lockstep diverged from the single-core pipeline"
         )
     if not multicore.get("conserved", True):
         problems.append(

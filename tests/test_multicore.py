@@ -3,34 +3,41 @@
 The load-bearing guarantees:
 
 - **Solo-oracle identity**: a scenario with one active core — via the
-  threadless shortcut or the full uncore + turnstile lockstep stack —
+  solo shortcut or the full uncore + lockstep stack —
   is bit-identical to :func:`repro.tools.tma_tool.run_core`, and an
   idle neighbor induces exactly zero neighbor attribution.
 - **Slot conservation under sharing**: per-core level-1 TMA slots sum
   to 1.0 and ``self + neighbor == mem_bound`` exactly (as floats) on
   every scenario in the registry.
-- **Determinism**: the turnstile serializes cycles, so repeated runs
-  are bit-identical.
+- **Determinism**: one thread steps every core's per-cycle generator
+  in a fixed (cycle, arbitration) order, so repeated runs are
+  bit-identical, and each arbitration order is pinned to its results.
 """
 
 import dataclasses
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.tma import split_slots
 from repro.cores import config_by_name
+from repro.isa.errors import RunTimeout
 from repro.multicore import (
+    ARBITRATIONS,
     CoreSlot,
     MulticoreError,
     Scenario,
     SharedUncore,
     get_scenario,
+    multicore_fingerprint,
     run_scenario,
     run_scenario_payload,
     scenario_cache_key,
     scenario_names,
 )
+from repro.multicore import harness
 from repro.tools.tma_tool import run_core
 from repro.uarch.cache import Cache, L1D_32K, NonBlockingCache
 
@@ -85,7 +92,7 @@ def test_threadless_solo_is_bit_identical_to_run_core(workload, config):
 @pytest.mark.parametrize("config", ["rocket", "large-boom"])
 @pytest.mark.parametrize("workload", ["median", "spmv"])
 def test_lockstep_solo_with_idle_neighbor_matches_oracle(workload, config):
-    """One active core through the full uncore + turnstile stack."""
+    """One active core through the full uncore + lockstep stack."""
     scenario = solo_scenario(workload, config, idle_neighbor=True)
     result = run_scenario(scenario, force_lockstep=True)
     core = result.core_at(0)
@@ -146,6 +153,128 @@ def test_repeated_scenario_runs_are_bit_identical():
             == [c.uncore.to_payload() for c in again.cores])
 
 
+#: A 3-core mix whose shared-bus collisions land on cycles where the
+#: two arbitration orders disagree (the registry's mixes do not at this
+#: scale), so an ignored arbitration order shows in its pins.
+SPMV_TRIO = Scenario(
+    name="spmv-trio", description="arbitration-sensitive 3-core mix",
+    slots=(CoreSlot("spmv", "rocket"), CoreSlot("spmv", "large-boom"),
+           CoreSlot("spmv", "rocket")),
+    scale=SCALE)
+
+#: Per active core: (slot, cycles, instret, L2 (accesses, misses,
+#: writebacks), self share, neighbor share, bus wait self, bus wait
+#: neighbor).  These are the values users have always measured; a
+#: change to how the lockstep driver orders cores must keep them.
+ARBITRATION_PINS = {
+    ("capacity-clash", "round-robin"): (
+        (0, 15562, 10809, (45, 45, 0),
+         0.22641784159279346, 0.0013163827999581016, 12, 21),
+        (1, 4951, 10810, (45, 45, 0),
+         0.10849560911624713, 0.002795039237620771, 10, 93),
+    ),
+    ("capacity-clash", "fcfs"): (
+        (0, 15562, 10809, (45, 45, 0),
+         0.22641784159279346, 0.0013163827999581016, 12, 21),
+        (1, 4951, 10810, (45, 45, 0),
+         0.10849560911624713, 0.002795039237620771, 10, 93),
+    ),
+    ("latency-victim", "round-robin"): (
+        (0, 3176, 1853, (10, 10, 0),
+         0.14761735883142824, 0.005720172654717845, 0, 31),
+        (1, 2029, 3690, (18, 18, 0),
+         0.22348871740768236, 0.012423883216598893, 143, 88),
+        (2, 26758, 3958, (231, 231, 0),
+         0.7808004295813156, 0.00531960928556536, 14, 126),
+    ),
+    ("latency-victim", "fcfs"): (
+        (0, 3176, 1853, (10, 10, 0),
+         0.14761735883142824, 0.005720172654717845, 0, 31),
+        (1, 2029, 3690, (18, 18, 0),
+         0.22348871740768236, 0.012423883216598893, 143, 88),
+        (2, 26758, 3958, (231, 231, 0),
+         0.7808004295813156, 0.00531960928556536, 14, 126),
+    ),
+    ("noisy-neighbor", "round-robin"): (
+        (0, 3740, 1665, (19, 19, 0),
+         0.3864200796010914, 0.030692219864149193, 16, 122),
+        (1, 7468, 3958, (231, 231, 0),
+         0.7900855272798016, 0.00588840594640799, 2049, 153),
+    ),
+    ("noisy-neighbor", "fcfs"): (
+        (0, 3740, 1665, (19, 19, 0),
+         0.3864200796010914, 0.030692219864149193, 16, 122),
+        (1, 7468, 3958, (231, 231, 0),
+         0.7900855272798016, 0.00588840594640799, 2049, 153),
+    ),
+    ("symmetric", "round-robin"): (
+        (0, 7963, 2245, (60, 60, 0),
+         0.6594248398844657, 0.0, 16, 0),
+        (1, 7995, 2245, (60, 60, 0),
+         0.6544526184128238, 0.004334123300747178, 32, 32),
+    ),
+    ("symmetric", "fcfs"): (
+        (0, 7963, 2245, (60, 60, 0),
+         0.6594248398844657, 0.0, 16, 0),
+        (1, 7995, 2245, (60, 60, 0),
+         0.6544526184128238, 0.004334123300747178, 32, 32),
+    ),
+    ("spmv-trio", "round-robin"): (
+        (0, 27008, 3958, (231, 231, 0),
+         0.7751149629010954, 0.015724788283738637, 54, 376),
+        (1, 7567, 3958, (231, 231, 0),
+         0.7717649020023318, 0.023574510358357136, 2079, 628),
+        (2, 27038, 3958, (231, 231, 0),
+         0.7716952339967132, 0.016935581892035974, 20, 406),
+    ),
+    ("spmv-trio", "fcfs"): (
+        (0, 27008, 3958, (231, 231, 0),
+         0.7751149629010954, 0.015724788283738637, 54, 376),
+        (1, 7567, 3958, (231, 231, 0),
+         0.7717470855474768, 0.023592326813212067, 2063, 628),
+        (2, 27038, 3958, (231, 231, 0),
+         0.7716952339967132, 0.016935581892035974, 20, 406),
+    ),
+}
+
+
+def arbitration_rows(result):
+    return tuple(
+        (core.index, core.result.cycles, core.result.instret,
+         dataclasses.astuple(core.result.l2_stats),
+         core.attribution.self_share, core.attribution.neighbor_share,
+         core.uncore.bus_wait_self, core.uncore.bus_wait_neighbor)
+        for core in result.cores)
+
+
+def pinned_scenario(name):
+    if name == SPMV_TRIO.name:
+        return SPMV_TRIO
+    return get_scenario(name).with_overrides(scale=SCALE)
+
+
+@pytest.mark.parametrize("name,arbitration", sorted(ARBITRATION_PINS))
+def test_arbitration_results_are_pinned(name, arbitration):
+    scenario = pinned_scenario(name).with_overrides(arbitration=arbitration)
+    assert (arbitration_rows(run_scenario(scenario))
+            == ARBITRATION_PINS[name, arbitration])
+
+
+def test_pins_cover_every_scenario_and_arbitration():
+    names = set(scenario_names()) | {SPMV_TRIO.name}
+    assert set(ARBITRATION_PINS) == {(name, arbitration)
+                                     for name in names
+                                     for arbitration in ARBITRATIONS}
+
+
+def test_arbitration_order_changes_a_three_core_run():
+    assert len(SPMV_TRIO.active_slots()) == 3
+    rows = {arbitration: arbitration_rows(run_scenario(
+                SPMV_TRIO.with_overrides(arbitration=arbitration)))
+            for arbitration in ARBITRATIONS}
+    assert rows["round-robin"] != rows["fcfs"]
+
+
 def test_capacity_clash_exercises_neighbor_attribution():
     """The shrunken-L2 scenario must actually produce neighbor misses."""
     result = run_scenario(get_scenario("capacity-clash"))
@@ -198,12 +327,20 @@ def test_scenario_validation_rejects_bad_specs():
                  slots=(CoreSlot("no-such-workload", "rocket"),)).validate()
     with pytest.raises(KeyError):
         get_scenario("no-such-scenario")
+    with pytest.raises(ValueError, match="arbitration"):
+        get_scenario("symmetric").with_overrides(
+            arbitration="lottery").validate()
 
 
 def test_core_failure_surfaces_as_multicore_error():
+    # Slot 0 (median) finishes in 3740 cycles; slot 1 (spmv) needs 7468.
     scenario = get_scenario("noisy-neighbor").with_overrides(scale=SCALE)
-    with pytest.raises(MulticoreError):
-        run_scenario(scenario, max_cycles=10)
+    threads_before = threading.active_count()
+    with pytest.raises(MulticoreError) as excinfo:
+        run_scenario(scenario, max_cycles=5000)
+    assert isinstance(excinfo.value.__cause__, RunTimeout)
+    assert "core 1 (spmv)" in str(excinfo.value)
+    assert threading.active_count() == threads_before
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +463,24 @@ def test_scenario_cache_key_covers_every_knob():
     assert len(keys) == 5
 
 
+def test_multicore_fingerprint_tracks_every_module_source(tmp_path):
+    package = Path(harness.__file__).parent
+    for source in package.glob("*.py"):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    base = harness._source_fingerprint(str(tmp_path))
+    assert base == multicore_fingerprint()
+    modules = sorted(path.name for path in tmp_path.glob("*.py"))
+    assert {"attribution.py", "harness.py", "scenarios.py",
+            "uncore.py"} <= set(modules)
+    for name in modules:
+        path = tmp_path / name
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n# edited\n")
+        assert harness._source_fingerprint(str(tmp_path)) != base, name
+        path.write_bytes(original)
+    assert harness._source_fingerprint(str(tmp_path)) == base
+
+
 def test_payload_shape_is_json_ready():
     import json
 
@@ -403,6 +558,9 @@ def test_service_rejects_bad_multicore_payloads():
     with pytest.raises(JobValidationError):
         service.submit_multicore_payload({"scenario": "symmetric",
                                           "bogus_field": 1})
+    with pytest.raises(JobValidationError):
+        service.submit_multicore_payload({"scenario": "symmetric",
+                                          "arbitration": "lottery"})
     with pytest.raises(JobValidationError):
         service.submit_multicore_payload({})
 
