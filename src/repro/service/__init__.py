@@ -8,13 +8,8 @@ the resilient runner, repeat requests are served O(1) from the
 checksummed disk cache, and live counters/gauges/latency histograms
 are one ``GET /metrics`` away.  See ``docs/service.md``.
 
-The service also scales out: N shard servers each own a deterministic
-slice of the canonical job-key space via a consistent-hash ring
-(:mod:`repro.service.hashring`), a stateless gateway
-(:mod:`repro.service.gateway`) routes submissions, fans grids out,
-and rebalances on shard join/leave, and every job's lifecycle is
-observable live over SSE (:mod:`repro.service.stream`,
-``GET /jobs/<id>/events``).
+Every job's lifecycle is observable live over SSE
+(:mod:`repro.service.stream`, ``GET /jobs/<id>/events``).
 
 Quickstart (in-process)::
 
@@ -26,33 +21,23 @@ Quickstart (in-process)::
     service.drain()
 
 Or over HTTP: ``repro-tma serve`` + ``repro-tma submit`` /
-:class:`ServiceClient`; multi-node: ``repro-tma serve --shard-id sK``
-per shard + ``repro-tma gateway --shards ...``.
+:class:`ServiceClient`.
 """
 
 from .app import TMAService
 from .client import JobRejected, ServiceClient, ServiceError
-from .gateway import (Gateway, GatewayServer, make_gateway_server,
-                      serve_gateway_in_thread)
-from .hashring import (DEFAULT_VNODES, HashRing, parse_shard_spec,
-                       ring_position, stable_hash)
 from .job import (GridJob, JobRecord, JobValidationError, MulticoreJob,
                   TMAJob, outcome_payload)
-from .metrics import Histogram, MetricsRegistry, merge_snapshots
+from .metrics import Histogram, MetricsRegistry
 from .scheduler import JobScheduler, SubmitReceipt
 from .server import ServiceServer, make_server, serve_in_thread
-from .shard import ShardExecutor, ShardInfo, make_shard_service
 from .store import ResultStore
 from .stream import EventJournal, JobEvent, parse_sse, sse_encode
 from .workers import WorkerPool, execute_job
 
 __all__ = [
-    "DEFAULT_VNODES",
     "EventJournal",
-    "Gateway",
-    "GatewayServer",
     "GridJob",
-    "HashRing",
     "Histogram",
     "JobEvent",
     "JobRecord",
@@ -65,23 +50,14 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ShardExecutor",
-    "ShardInfo",
     "SubmitReceipt",
     "TMAJob",
     "TMAService",
     "WorkerPool",
     "execute_job",
-    "make_gateway_server",
     "make_server",
-    "make_shard_service",
-    "merge_snapshots",
     "outcome_payload",
-    "parse_shard_spec",
     "parse_sse",
-    "ring_position",
-    "serve_gateway_in_thread",
     "serve_in_thread",
     "sse_encode",
-    "stable_hash",
 ]

@@ -100,8 +100,7 @@ class TMAService:
                  metrics: Optional[MetricsRegistry] = None,
                  timing_engine: Optional[str] = None,
                  breaker_threshold: int = 3,
-                 breaker_cooldown: float = 30.0,
-                 shard=None) -> None:
+                 breaker_cooldown: float = 30.0) -> None:
         if record_retention < 1:
             raise ValueError("record_retention must be >= 1")
         if timing_engine is not None:
@@ -111,16 +110,9 @@ class TMAService:
         #: ``REPRO_TIMING_ENGINE`` in the worker process).  Engines are
         #: bit-identical, so this never changes job results or dedup.
         self.timing_engine = timing_engine
-        #: Shard identity (:class:`repro.service.shard.ShardInfo`) when
-        #: this instance serves one consistent-hash slice of the job-key
-        #: space; None for a plain single-node deployment.  Shards get
-        #: a per-shard drain-persistence file so clusters sharing one
-        #: cache directory never clobber each other's pending jobs.
-        self.shard = shard
         self.metrics = metrics or MetricsRegistry()
         self.scheduler = JobScheduler(capacity=queue_capacity)
-        self.store = ResultStore(
-            instance=shard.id if shard is not None else None)
+        self.store = ResultStore()
         self.events = EventJournal()
         self.pool = WorkerPool(workers=workers, style=executor,
                                factory=executor_factory)
@@ -217,8 +209,7 @@ class TMAService:
                                            + record.job.deadline_seconds))
         # Windowed jobs stream per-window ticks when the executor keeps
         # the work in-process; progress callbacks cannot cross process
-        # or shard boundaries, so those deployments stream lifecycle
-        # events only.
+        # boundaries, so those deployments stream lifecycle events only.
         progress = None
         if spec.windows is not None and self.pool.supports_callbacks:
             record_id = record.id
@@ -661,7 +652,7 @@ class TMAService:
     def healthz(self) -> Dict[str, Any]:
         with self._lock:
             state = self._state
-        payload = {
+        return {
             "status": "ok" if state == "serving" else state,
             "state": state,
             "version": __version__,
@@ -671,12 +662,6 @@ class TMAService:
             "executor": self.pool.kind,
             "breaker_open": sorted(self.breaker.open_keys()),
         }
-        if self.shard is not None:
-            # Topology self-report: the gateway and the smoke harness
-            # assert shard identity and ring placement from here
-            # instead of guessing.
-            payload["shard"] = self.shard.to_payload()
-        return payload
 
     # ------------------------------------------------------------------
     # Drain and shutdown
@@ -739,11 +724,6 @@ class TMAService:
             "completed": self.metrics.counter("jobs_completed"),
             "failed": self.metrics.counter("jobs_failed"),
             "accepted": self.metrics.counter("jobs_accepted"),
-            # Handoff manifest: a gateway removing this shard from the
-            # ring resubmits these payloads to the surviving owners, so
-            # a graceful leave rebalances pending work immediately
-            # instead of waiting for this node to restart.
-            "pending_jobs": [job.to_payload() for job in persisted_jobs],
         }
 
     def stop(self) -> None:

@@ -42,8 +42,6 @@ DEFAULT_CLIENT_RETRY_POLICY = RetryPolicy(
 
 #: Environment override for the default request timeout (seconds).
 TIMEOUT_ENV = "REPRO_CLIENT_TIMEOUT"
-#: Environment override for the liveness-probe timeout (seconds).
-CONNECT_TIMEOUT_ENV = "REPRO_CLIENT_CONNECT_TIMEOUT"
 
 #: Built-in default when neither the constructor nor the environment
 #: picks a timeout.
@@ -85,28 +83,17 @@ class JobRejected(ServiceError):
 class ServiceClient:
     """Submit/poll/stream helper bound to one service base URL.
 
-    Timeouts are configurable per client and through the environment
-    (``REPRO_CLIENT_TIMEOUT`` / ``REPRO_CLIENT_CONNECT_TIMEOUT``):
-    explicit constructor arguments win, the environment fills in the
-    rest, and ``connect_timeout`` falls back to ``timeout``.  The two
-    knobs exist because stdlib ``urllib`` has a single socket timeout:
-    ``timeout`` bounds ordinary request/response exchanges, while
-    ``connect_timeout`` bounds the cheap liveness probes
-    (:meth:`healthz`, :meth:`metrics`) where a hung connect should
-    fail fast — the gateway uses exactly that split when probing
-    shards.
+    The socket timeout for every request is configurable per client
+    and through the environment (``REPRO_CLIENT_TIMEOUT``): an explicit
+    constructor argument wins, the environment fills in otherwise.
     """
 
     def __init__(self, base_url: str, timeout: Optional[float] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 connect_timeout: Optional[float] = None) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         self.base_url = base_url.rstrip("/")
         if timeout is None:
             timeout = _env_timeout(TIMEOUT_ENV) or DEFAULT_TIMEOUT
         self.timeout = timeout
-        if connect_timeout is None:
-            connect_timeout = _env_timeout(CONNECT_TIMEOUT_ENV) or timeout
-        self.connect_timeout = connect_timeout
         self.retry_policy = retry_policy or DEFAULT_CLIENT_RETRY_POLICY
         self._request_sequence = 0
 
@@ -114,8 +101,7 @@ class ServiceClient:
 
     def _request_once(self, method: str, path: str,
                       body: Optional[Dict[str, Any]],
-                      attempt: int,
-                      timeout: Optional[float] = None) -> Dict[str, Any]:
+                      attempt: int) -> Dict[str, Any]:
         # Chaos transport seam.  The per-client request sequence is
         # part of the decision key, so a retried request draws a fresh
         # decision (a single flaky connection, not a permanently dead
@@ -137,9 +123,8 @@ class ServiceClient:
             self.base_url + path, data=data, method=method,
             headers={"Content-Type": "application/json"})
         try:
-            effective = timeout if timeout is not None else self.timeout
             with urllib.request.urlopen(request,
-                                        timeout=effective) as response:
+                                        timeout=self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             try:
@@ -155,8 +140,7 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None,
-                 idempotent: Optional[bool] = None,
-                 timeout: Optional[float] = None) -> Dict[str, Any]:
+                 idempotent: Optional[bool] = None) -> Dict[str, Any]:
         if idempotent is None:
             idempotent = method == "GET"
         attempts = self.retry_policy.max_attempts if idempotent else 1
@@ -168,8 +152,7 @@ class ServiceClient:
                 if pause > 0:
                     time.sleep(pause)
             try:
-                return self._request_once(method, path, body, attempt,
-                                          timeout=timeout)
+                return self._request_once(method, path, body, attempt)
             except ServiceError as exc:
                 if exc.status != 0 or not idempotent:
                     raise
@@ -303,11 +286,15 @@ class ServiceClient:
         which the generator returns.  On a dropped connection the
         client reconnects with the last seen sequence number
         (``Last-Event-ID``), so resumed streams never replay events —
-        and never duplicate the terminal one.  Pass
-        ``reconnect=False`` to surface transport failures as
-        :class:`ServiceError` instead.
+        and never duplicate the terminal one.  Consecutive reconnects
+        that yield no event are capped at the retry policy's
+        ``max_attempts``; past that the stream raises
+        :class:`ServiceError` with ``status == 0``.  Pass
+        ``reconnect=False`` to surface the first transport failure
+        instead.
         """
         last = last_event_id
+        reconnects = 0
         while True:
             request = urllib.request.Request(
                 f"{self.base_url}/jobs/{job_id}/events?after={last}",
@@ -319,6 +306,7 @@ class ServiceClient:
                 with urllib.request.urlopen(request,
                                             timeout=timeout) as response:
                     for event in parse_sse(response):
+                        reconnects = 0
                         last = max(last, int(event.get("id", 0)))
                         yield event
                         if event.get("event") in TERMINAL_EVENTS:
@@ -330,23 +318,22 @@ class ServiceClient:
                     payload = {"error": str(exc)}
                 raise ServiceError(exc.code, payload) from None
             except (urllib.error.URLError, ConnectionError, OSError) as exc:
-                if not reconnect:
-                    raise ServiceError(0, {"error": str(exc)}) from None
-                time.sleep(self.retry_policy.delay(
-                    0, salt=f"stream:{job_id}"))
-            # Server closed the stream without a terminal event (drain,
-            # relay hop died): reconnect and resume after `last`.
-            if not reconnect:
-                raise ServiceError(
-                    0, {"error": f"stream for {job_id} ended early"})
+                error = str(exc)
+            else:
+                # Server closed the stream without a terminal event
+                # (drain): reconnect and resume after `last`.
+                error = f"stream for {job_id} ended early"
+            if not reconnect or reconnects >= self.retry_policy.max_attempts:
+                raise ServiceError(0, {"error": error})
+            time.sleep(self.retry_policy.delay(
+                reconnects, salt=f"stream:{job_id}"))
+            reconnects += 1
 
     def metrics(self) -> Dict[str, Any]:
-        return self._request("GET", "/metrics",
-                             timeout=self.connect_timeout)
+        return self._request("GET", "/metrics")
 
     def healthz(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz",
-                             timeout=self.connect_timeout)
+        return self._request("GET", "/healthz")
 
     def drain(self) -> Dict[str, Any]:
         # Draining twice is safe (the second is a no-op), so transport

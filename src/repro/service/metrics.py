@@ -115,50 +115,3 @@ class MetricsRegistry:
                                in sorted(self._histograms.items())},
             }
 
-
-def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Cluster-wide rollup of per-node :meth:`MetricsRegistry.snapshot`\\ s.
-
-    Counters sum.  Gauges sum too — the service's gauges are occupancy
-    figures (queue depth, in-flight, draining count), where the cluster
-    total is the meaningful number; rate gauges are recomputable from
-    the summed counters.  Histograms merge exactly on count/mean/
-    min/max; percentiles are *not* mergeable from summaries and are
-    deliberately omitted rather than faked.
-    """
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, float] = {}
-    merged_hist: Dict[str, Dict[str, Any]] = {}
-    for snapshot in snapshots:
-        for name, value in (snapshot.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, value in (snapshot.get("gauges") or {}).items():
-            gauges[name] = gauges.get(name, 0.0) + float(value)
-        for name, hist in (snapshot.get("histograms") or {}).items():
-            into = merged_hist.setdefault(
-                name, {"count": 0, "total": 0.0,
-                       "min": None, "max": None})
-            count = int(hist.get("count") or 0)
-            into["count"] += count
-            into["total"] += float(hist.get("mean") or 0.0) * count
-            for bound, pick in (("min", min), ("max", max)):
-                value = hist.get(bound)
-                if value is None or not count:
-                    continue
-                into[bound] = (value if into[bound] is None
-                               else pick(into[bound], value))
-    histograms = {
-        name: {
-            "count": data["count"],
-            "mean": (round(data["total"] / data["count"], 6)
-                     if data["count"] else 0.0),
-            "min": round(data["min"], 6) if data["min"] is not None else 0.0,
-            "max": round(data["max"], 6) if data["max"] is not None else 0.0,
-        }
-        for name, data in sorted(merged_hist.items())
-    }
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": {k: round(v, 6) for k, v in sorted(gauges.items())},
-        "histograms": histograms,
-    }

@@ -175,15 +175,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, self.service.metrics_snapshot())
         elif self.path == "/healthz":
             self._send_json(200, self.service.healthz())
-        elif self.path == "/admin/records":
-            # Topology audit surface: the shard smoke asserts "each job
-            # key observed on exactly one shard" from these summaries.
-            records = [
-                {"id": record.id, "job_key": record.job_key,
-                 "state": record.state, "client": record.client}
-                for record in self.service.records()
-            ]
-            self._send_json(200, {"records": records})
         else:
             self._send_json(404, {"error": f"no such endpoint {self.path}"})
 

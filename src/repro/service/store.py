@@ -43,22 +43,9 @@ PENDING_FILE = "pending-jobs.state"
 
 
 class ResultStore:
-    """Cache-backed result serving and pending-job persistence.
-
-    ``instance`` namespaces the drain-persistence file: shard servers
-    of one cluster share a cache directory (that sharing *is* the
-    result-store handoff — any node serves any cached result), but
-    each must persist its own pending queue, or two shards draining
-    concurrently would clobber each other's files last-write-wins.
-    """
-
-    def __init__(self, instance: Optional[str] = None) -> None:
-        self.instance = instance
+    """Cache-backed result serving and pending-job persistence."""
 
     def pending_path(self) -> Path:
-        if self.instance:
-            name = f"pending-jobs.{self.instance}.state"
-            return cache.cache_dir() / name
         return cache.cache_dir() / PENDING_FILE
 
     # ------------------------------------------------------------------

@@ -826,187 +826,6 @@ def _bench_multicore(scale: float) -> Dict:
     }
 
 
-#: Job mix for the sharded-service section: a small duplicate-heavy
-#: burst (75% duplicates) mirroring the shard-smoke gate at
-#: bench-cheap scales.
-SHARD_BENCH_WORKLOADS = ("vvadd", "median", "qsort", "towers")
-SHARD_BENCH_SCALES = (0.15, 0.2)
-SHARD_BENCH_REPEATS = 4
-SHARD_BENCH_SHARDS = 3
-
-
-def _bench_shard(workers: int) -> Dict:
-    """Routed cluster throughput vs. an equal-worker single node.
-
-    Boots three in-process shard services (thread executors) behind
-    the consistent-hash gateway, pushes a duplicate-heavy burst
-    through ``Gateway.submit_payload``, and measures routed wall clock
-    against the same burst on one single-node service holding the same
-    total worker count — each side against its own isolated store.
-
-    ``vs_single`` (``routed_wall / single_wall``) is the acceptance
-    target (< 2.0): the routing tier — key hashing, HTTP hops to the
-    shards, route bookkeeping — must cost less than 2x the single
-    process it replaces on any runner; with real cores behind the
-    shards it lands under 1.0, so like ``parallel.speedup`` the ratio
-    is recorded with ``target_met`` + ``effective_cores`` rather than
-    gated across heterogeneous runners.  ``identical`` compares every
-    routed result document to the single-node one (modulo
-    cache/attempt provenance); ``dedup_exact`` asserts live executions
-    never exceeded the unique analyses.
-    """
-    from ..service import (
-        Gateway,
-        TMAService,
-        make_shard_service,
-        serve_in_thread,
-    )
-    from ..service.job import TMAJob
-
-    per_shard = max(1, workers // SHARD_BENCH_SHARDS)
-    total_workers = SHARD_BENCH_SHARDS * per_shard
-    unique = [
-        {"workload": name, "config": "rocket", "scale": scale}
-        for name in SHARD_BENCH_WORKLOADS
-        for scale in SHARD_BENCH_SCALES
-    ]
-    burst = [
-        unique[i % len(unique)]
-        for i in range(len(unique) * SHARD_BENCH_REPEATS)
-    ]
-    capacity = max(64, len(burst))
-
-    def _poll(status: Callable[[str], Optional[Dict]], ids: List[str]) -> Dict:
-        results: Dict[str, Dict] = {}
-        pending = set(ids)
-        deadline = time.time() + 240.0
-        while pending and time.time() < deadline:
-            for job_id in list(pending):
-                record = status(job_id)
-                if record is None:
-                    raise RuntimeError(f"job {job_id} vanished mid-bench")
-                if record.get("degraded"):
-                    continue
-                state = record["state"]
-                if state == "done":
-                    results[job_id] = record["result"]
-                    pending.discard(job_id)
-                elif state not in ("queued", "running"):
-                    raise RuntimeError(f"job {job_id} ended {state}")
-            if pending:
-                time.sleep(0.01)
-        if pending:
-            raise RuntimeError(f"{len(pending)} jobs never finished")
-        return results
-
-    def _canonical(result: Dict) -> Dict:
-        return {
-            key: value
-            for key, value in result.items()
-            if key not in ("from_cache", "attempts")
-        }
-
-    saved = os.environ.get("REPRO_CACHE_DIR")
-    cluster_tmp = tempfile.mkdtemp(prefix="repro-bench-shard-")
-    single_tmp = tempfile.mkdtemp(prefix="repro-bench-single-")
-    os.environ["REPRO_CACHE_DIR"] = cluster_tmp
-    shards: List = []
-    servers: List = []
-    try:
-        clear_caches()
-        urls = {}
-        for index in range(SHARD_BENCH_SHARDS):
-            shard_id = f"s{index + 1}"
-            service = make_shard_service(
-                shard_id,
-                workers=per_shard,
-                executor="thread",
-                queue_capacity=capacity,
-            ).start()
-            server, _thread = serve_in_thread(service)
-            shards.append(service)
-            servers.append(server)
-            urls[shard_id] = f"http://127.0.0.1:{server.server_address[1]}"
-        gateway = Gateway(
-            ",".join(f"{sid}={url}" for sid, url in sorted(urls.items()))
-        )
-
-        start = time.perf_counter()
-        receipts = [gateway.submit_payload(dict(body)) for body in burst]
-        routed = _poll(gateway.status, [r["id"] for r in receipts])
-        routed_s = time.perf_counter() - start
-        executed = sum(
-            service.metrics.counter("jobs_executed") for service in shards
-        )
-
-        for service in shards:
-            service.drain()
-        for server in servers:
-            server.shutdown()
-            server.server_close()
-        shards, servers = [], []
-
-        os.environ["REPRO_CACHE_DIR"] = single_tmp
-        clear_caches()
-        single = TMAService(
-            workers=total_workers, executor="thread", queue_capacity=capacity
-        ).start()
-        try:
-            start = time.perf_counter()
-            ids = [single.submit_payload(dict(body)).record.id for body in burst]
-            single_results = _poll(single.status, ids)
-            single_s = time.perf_counter() - start
-        finally:
-            single.drain()
-
-        single_by_key = {
-            TMAJob.from_payload(dict(body)).job_key(): single_results[job_id]
-            for body, job_id in zip(burst, ids)
-        }
-        identical = all(
-            _canonical(routed[receipt["id"]])
-            == _canonical(single_by_key[TMAJob.from_payload(dict(body)).job_key()])
-            for receipt, body in zip(receipts, burst)
-        )
-
-        jobs = len(burst)
-        vs_single = routed_s / single_s if single_s else 0.0
-        effective_cores = max(1, min(total_workers, os.cpu_count() or 1))
-        return {
-            "jobs": jobs,
-            "unique": len(unique),
-            "shards": SHARD_BENCH_SHARDS,
-            "workers_per_shard": per_shard,
-            "total_workers": total_workers,
-            "effective_cores": effective_cores,
-            "executed": executed,
-            "dedup_exact": bool(executed <= len(unique)),
-            "routed_wall_s": round(routed_s, 4),
-            "routed_jobs_per_s": round(jobs / routed_s, 3),
-            "single_wall_s": round(single_s, 4),
-            "single_jobs_per_s": round(jobs / single_s, 3),
-            "vs_single": round(vs_single, 3),
-            "target_met": bool(vs_single < 2.0),
-            "identical": identical,
-        }
-    finally:
-        for service in shards:
-            try:
-                service.drain()
-            except Exception:
-                pass
-        for server in servers:
-            server.shutdown()
-            server.server_close()
-        if saved is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = saved
-        clear_caches()
-        shutil.rmtree(cluster_tmp, ignore_errors=True)
-        shutil.rmtree(single_tmp, ignore_errors=True)
-
-
 def run_benchmarks(
     quick: bool = False,
     workers: Optional[int] = None,
@@ -1038,9 +857,6 @@ def run_benchmarks(
         # cycle at a time on one thread, so the section stays CI-cheap
         # at any mode.
         "multicore": _bench_multicore(0.3),
-        # Fixed small basket: the routed-vs-single ratio is about the
-        # service tier, not the simulator, so it stays CI-cheap too.
-        "service": {"shard": _bench_shard(workers)},
     }
 
 
@@ -1131,17 +947,6 @@ def compare_benchmarks(
         problems.append(
             "multicore.conserved: self + neighbor attribution no "
             "longer sums exactly to the Memory-Bound slots"
-        )
-    shard = current.get("service", {}).get("shard", {})
-    if not shard.get("identical", True):
-        problems.append(
-            "service.shard.identical: routed cluster results diverged "
-            "from the single-node service"
-        )
-    if not shard.get("dedup_exact", True):
-        problems.append(
-            "service.shard.dedup_exact: cluster executions exceeded "
-            "the unique analyses (exact dedup lost)"
         )
     # Attribution stability: the split is deterministic, so against a
     # same-model baseline it should be unchanged; large drift means a
@@ -1276,21 +1081,6 @@ def render_payload(payload: Dict) -> str:
             f"victim nbr {multicore['victim_neighbor_fraction']:.4f}  "
             f"conserved={multicore['conserved']} "
             f"solo_identical={multicore['solo_identical']}"
-        )
-    shard = payload.get("service", {}).get("shard")
-    if shard:
-        lines.append(
-            f"  service[shard]: {shard['jobs']} jobs "
-            f"({shard['unique']} unique) x {shard['shards']} shards  "
-            f"routed {shard['routed_wall_s']:.2f}s "
-            f"({shard['routed_jobs_per_s']:.1f}/s)  "
-            f"single[{shard['total_workers']}] "
-            f"{shard['single_wall_s']:.2f}s "
-            f"({shard['single_jobs_per_s']:.1f}/s)  "
-            f"vs_single {shard['vs_single']:.2f}x "
-            f"(target_met={shard['target_met']})  "
-            f"dedup_exact={shard['dedup_exact']} "
-            f"identical={shard['identical']}"
         )
     return "\n".join(lines)
 

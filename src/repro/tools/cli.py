@@ -676,58 +676,27 @@ def _serve_until_signal(server, on_stop) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from ..service import TMAService, make_server
 
-    kwargs = dict(workers=args.workers,
-                  queue_capacity=args.queue_size,
-                  executor=args.executor,
-                  record_retention=args.record_retention,
-                  timing_engine=args.timing_engine)
-    if args.shard_id:
-        from ..service.shard import make_shard_service
-
-        service = make_shard_service(args.shard_id, **kwargs)
-    else:
-        service = TMAService(**kwargs)
+    service = TMAService(workers=args.workers,
+                         queue_capacity=args.queue_size,
+                         executor=args.executor,
+                         record_retention=args.record_retention,
+                         timing_engine=args.timing_engine)
     service.start(resume=not args.no_resume)
     server = make_server(service, host=args.host, port=args.port,
                          verbose=args.verbose)
     host, port = server.server_address[:2]
-    shard_note = f", shard={args.shard_id}" if args.shard_id else ""
     print(f"repro-tma service on http://{host}:{port} "
           f"(workers={args.workers}, executor={args.executor}, "
-          f"queue={args.queue_size}{shard_note})", flush=True)
-    print("POST /jobs · GET /jobs/<id> · GET /jobs/<id>/events · "
-          "GET /metrics · GET /healthz · POST /admin/drain", flush=True)
+          f"queue={args.queue_size})", flush=True)
+    print("POST /jobs|/multicore|/grids · GET /jobs/<id>[/events] · "
+          "GET /grids/<id> · GET /metrics · GET /healthz · "
+          "POST /admin/drain", flush=True)
 
     def _drain() -> None:
         report = service.drain()
         print(f"drained: {report}", file=sys.stderr)
 
     return _serve_until_signal(server, _drain)
-
-
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    import os
-
-    from ..service.gateway import Gateway, make_gateway_server
-    from ..service.shard import SHARDS_ENV
-
-    shards = args.shards or os.environ.get(SHARDS_ENV, "")
-    if not shards:
-        print(f"no shards: pass --shards or set {SHARDS_ENV}="
-              "\"s1=http://host:port,...\"", file=sys.stderr)
-        return 2
-    gateway = Gateway(shards)
-    server = make_gateway_server(gateway, host=args.host, port=args.port,
-                                 verbose=args.verbose)
-    host, port = server.server_address[:2]
-    members = ", ".join(f"{shard_id}={url}"
-                        for shard_id, url in sorted(gateway.urls.items()))
-    print(f"repro-tma gateway on http://{host}:{port} "
-          f"routing to [{members}]", flush=True)
-    print("POST /jobs|/multicore|/grids · GET /jobs/<id>[/events] · "
-          "GET /grids/<id> · GET /metrics · GET /healthz · "
-          "POST /admin/{join,leave,evict,drain}", flush=True)
-    return _serve_until_signal(server, lambda: None)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1046,14 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queue-size", type=int, default=256,
                          help="admission-queue bound (backpressure above)")
     p_serve.add_argument("--executor", default="process",
-                         choices=["process", "thread", "inline", "shard"],
-                         help="worker execution style (shard: forward "
-                              "jobs to the REPRO_SHARDS cluster)")
-    p_serve.add_argument("--shard-id", default=None,
-                         help="serve as one member of a shard cluster: "
-                              "sets the shard identity reported by "
-                              "/healthz and namespaces the drain-"
-                              "persistence file")
+                         choices=["process", "thread", "inline"],
+                         help="worker execution style")
     p_serve.add_argument("--record-retention", type=int, default=4096,
                          help="finished job records kept queryable "
                               "before the oldest are evicted")
@@ -1089,20 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_submit)
     _add_windowing(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
-
-    p_gateway = sub.add_parser(
-        "gateway",
-        help="run the stateless multi-shard routing gateway")
-    p_gateway.add_argument("--host", default="127.0.0.1")
-    p_gateway.add_argument("--port", type=int, default=8320,
-                           help="TCP port (0 = ephemeral)")
-    p_gateway.add_argument("--shards", default=None,
-                           help="cluster spec "
-                                "\"s1=http://h:p,s2=http://h:p\" "
-                                "(default: REPRO_SHARDS)")
-    p_gateway.add_argument("--verbose", action="store_true",
-                           help="log every HTTP request to stderr")
-    p_gateway.set_defaults(func=_cmd_gateway)
 
     p_chaos = sub.add_parser(
         "chaos",

@@ -63,8 +63,7 @@ from .checkpoint import (
     point_key,
     serialize_outcome,
 )
-from .pool import (RunnerSpec, executor_factory as resolve_executor_factory,
-                   in_worker, process_executor_factory, worker_init)
+from .pool import EXECUTOR_FACTORIES, RunnerSpec, in_worker
 
 CoreConfig = Union[RocketConfig, BoomConfig]
 
@@ -73,11 +72,6 @@ CoreConfig = Union[RocketConfig, BoomConfig]
 #: Only honoured inside pool workers, so the serial recovery path (and
 #: plain serial sweeps) complete normally.
 _CRASH_ENV = "REPRO_PARALLEL_CRASH_WORKLOAD"
-
-# Pool plumbing lives in repro.tools.pool (shared with the analysis
-# service); these aliases keep the engine's historical import surface.
-_worker_init = worker_init
-_default_executor_factory = process_executor_factory
 
 
 #: One grid pair: (canonical index, workload name, core config).
@@ -147,14 +141,10 @@ class ParallelSweepRunner:
     cache policy, events, scale); it runs serial shards directly and is
     distilled into a :class:`RunnerSpec` for pool workers.
 
-    ``executor`` picks a rung of the shared executor ladder
-    (:mod:`repro.tools.pool`): ``process`` (the default),  ``thread``,
-    ``inline``, or ``shard`` — the last dispatches each grid shard to
-    a multi-node service cluster through
-    :class:`repro.service.shard.ShardExecutor` (``REPRO_SHARDS``).
-    ``executor_factory`` is injectable for tests and wins over
-    ``executor``: it receives the worker count and must return a
-    ``ProcessPoolExecutor``-compatible context manager.  Any failure
+    Pool workers come from the ``process`` rung of the shared executor
+    ladder (:mod:`repro.tools.pool`).  ``executor_factory`` is
+    injectable for tests: it receives the worker count and must return
+    a ``ProcessPoolExecutor``-compatible context manager.  Any failure
     to build the pool or submit the shards degrades to the serial
     sweep.
     """
@@ -165,16 +155,13 @@ class ParallelSweepRunner:
         max_workers: Optional[int] = None,
         seed: int = 0,
         executor_factory=None,
-        executor: str = "process",
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.runner = runner or ResilientRunner()
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.seed = seed
-        self.executor = executor
-        self.executor_factory = (executor_factory
-                                 or resolve_executor_factory(executor))
+        self.executor_factory = executor_factory or EXECUTOR_FACTORIES["process"]
 
     # ------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ that setup requires, so neither side copy-pastes pool wiring:
   to confine crash-injection test hooks to real pool workers;
 - the **executor ladder**: every execution style a caller can ask for
   sits behind the same ``submit``/``shutdown``/context-manager
-  contract, so swapping ``inline`` → ``process`` → ``shard`` is a
+  contract, so swapping ``inline`` → ``thread`` → ``process`` is a
   one-word configuration change, never a code change:
 
   ========= ==========================================================
@@ -25,16 +25,7 @@ that setup requires, so neither side copy-pastes pool wiring:
             deployments and tests (:class:`ThreadExecutor`)
   process   a process pool — true parallelism with crash isolation
             (:class:`ProcessExecutor`)
-  shard     a multi-node shard cluster over HTTP, routed by consistent
-            hash of the canonical job key
-            (:class:`repro.service.shard.ShardExecutor`)
   ========= ==========================================================
-
-The ``shard`` rung cannot ship arbitrary closures to another machine,
-so remotable entry points register a *remote adapter* via
-:func:`register_remote`; a shard executor looks the adapter up by
-function identity and dispatches through it, and refuses anything
-unregistered instead of silently running it locally.
 """
 
 from __future__ import annotations
@@ -229,58 +220,18 @@ def inline_executor_factory(workers: int) -> InlineExecutor:
 ExecutorFactory = Callable[[int], ContextManager]
 
 #: Executor styles selectable by name (``repro-tma serve --executor``).
-#: The ``shard`` rung registers itself on import of
-#: :mod:`repro.service.shard`; :func:`executor_factory` triggers that
-#: import lazily so ``tools`` never hard-depends on the service tier.
 EXECUTOR_FACTORIES: Dict[str, ExecutorFactory] = {
     "process": process_executor_factory,
     "thread": thread_executor_factory,
     "inline": inline_executor_factory,
 }
 
-#: Styles provided by modules that register on first use.
-_LAZY_STYLES = {"shard": "repro.service.shard"}
-
-
-def register_executor(style: str, factory: ExecutorFactory) -> None:
-    """Register a ladder rung under *style* (idempotent overwrite)."""
-    EXECUTOR_FACTORIES[style] = factory
-
 
 def executor_factory(style: str) -> ExecutorFactory:
-    if style not in EXECUTOR_FACTORIES and style in _LAZY_STYLES:
-        import importlib
-
-        importlib.import_module(_LAZY_STYLES[style])
     try:
         return EXECUTOR_FACTORIES[style]
     except KeyError:
-        known = sorted(set(EXECUTOR_FACTORIES) | set(_LAZY_STYLES))
+        known = sorted(EXECUTOR_FACTORIES)
         raise ValueError(
             f"unknown executor style {style!r}; choose from {known}"
         ) from None
-
-
-def make_executor(style: str, workers: int) -> ContextManager:
-    """Build one ladder rung by name: ``make_executor('process', 4)``."""
-    return executor_factory(style)(workers)
-
-
-# ---------------------------------------------------------------------------
-# Remote dispatch registry (the shard rung's contract)
-
-#: function → adapter.  An adapter has the signature
-#: ``adapter(executor, *args, **kwargs)`` and performs the remote
-#: equivalent of ``fn(*args, **kwargs)`` through the shard executor's
-#: routing/client machinery, returning the same result type.
-_REMOTE_ADAPTERS: Dict[Callable, Callable] = {}
-
-
-def register_remote(fn: Callable, adapter: Callable) -> None:
-    """Mark *fn* as remotable through the given adapter."""
-    _REMOTE_ADAPTERS[fn] = adapter
-
-
-def remote_adapter(fn: Callable) -> Optional[Callable]:
-    """The registered remote adapter for *fn*, or None."""
-    return _REMOTE_ADAPTERS.get(fn)

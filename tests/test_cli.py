@@ -200,6 +200,21 @@ def test_serve_and_submit_round_trip(capsys, tmp_path, monkeypatch):
         service.drain()
 
 
+def test_executor_ladder_is_closed(capsys):
+    from repro.tools.pool import executor_factory
+
+    with pytest.raises(ValueError) as excinfo:
+        executor_factory("shard")
+    assert str(excinfo.value).endswith(
+        "choose from ['inline', 'process', 'thread']")
+    parser = build_parser()
+    for argv in (["serve", "--executor", "shard"], ["gateway"]):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
 def test_submit_unreachable_server(capsys):
     code, _, err = run_cli(capsys, "submit", "--url",
                            "http://127.0.0.1:9", "--workload", "vvadd",

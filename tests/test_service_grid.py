@@ -225,6 +225,30 @@ def test_partially_overlapping_grid_is_served_from_store():
         assert_drain_invariant(service.drain())
 
 
+def test_grid_point_dedups_against_earlier_direct_submission():
+    service = make_service().start()
+    try:
+        direct = service.submit_payload(
+            {"workload": "vvadd", "config": "rocket", "scale": 0.2})
+        deadline = time.time() + 120.0
+        while service.status(direct.record.id)["state"] != "done":
+            assert time.time() < deadline, "direct job never finished"
+            time.sleep(0.02)
+        # The grid's rocket point has the direct job's canonical key, so
+        # it is served from the store; only small-boom executes.
+        receipt = service.submit_grid_payload({
+            "workload": "vvadd", "grid": "rocket,small-boom", "scale": 0.2})
+        status = wait_grid_done(service, receipt.id)
+        assert status["state"] == "done"
+        assert status["points"]["rocket"]["result"]["cycles"] == \
+            service.status(direct.record.id)["result"]["cycles"]
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["jobs_executed"] == 2
+        assert counters["grid_points_cached"] == 1
+    finally:
+        assert_drain_invariant(service.drain())
+
+
 def test_grid_rejected_atomically_when_queue_cannot_hold_it():
     service = make_service(workers=1, queue_capacity=2,
                            executor="inline").start()

@@ -227,3 +227,30 @@ def test_polling_client_unaffected_by_concurrent_stream():
     finally:
         server.shutdown()
         service.drain()
+
+
+def test_stream_gives_up_when_service_is_gone():
+    """Reconnects are bounded: a dead service ends the stream with
+    ``ServiceError(0)`` instead of retrying forever."""
+    import socket
+
+    from repro.service import ServiceError
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = ServiceClient(f"http://127.0.0.1:{port}", timeout=1.0)
+    outcome = []
+
+    def follow():
+        try:
+            outcome.append(list(client.stream("job-1")))
+        except ServiceError as exc:
+            outcome.append(exc)
+
+    follower = threading.Thread(target=follow, daemon=True)
+    follower.start()
+    follower.join(timeout=5.0)
+    assert not follower.is_alive(), "stream kept reconnecting"
+    assert isinstance(outcome[0], ServiceError)
+    assert outcome[0].status == 0
