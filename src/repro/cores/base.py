@@ -213,14 +213,6 @@ class CoreResult:
     l2_stats: CacheStats
     predictor_stats: PredictorStats
     extra: Dict[str, float] = field(default_factory=dict)
-    #: True when the result was *extrapolated* from periodic sample
-    #: windows (``repro.cores.windowed`` sampled mode) rather than a
-    #: full simulation — it must never masquerade as exact.
-    sampled: bool = False
-    #: Windowed-run metadata (window count, warmup, spans, per-window
-    #: wall times, sampled error bars); ``None`` for plain runs.  The
-    #: dict is JSON-able so it rides result serialization unchanged.
-    windowed: Optional[Dict[str, object]] = None
 
     @property
     def ipc(self) -> float:

@@ -15,10 +15,11 @@ burns it four times per trace.
 - the trace is fetched/built **once** and every grid point replays the
   same immutable columns (functional state is read-only to the timing
   engines);
-- the Rocket/BOOM descriptor tables are compiled **once per family**
-  via ``ColumnarTrace.timing_table`` and shared by every point of that
-  family (on the ``objects`` engine the lazily materialised
-  ``DynInst`` list is the shared artifact instead);
+- the Rocket/BOOM descriptor tables are compiled **once per family**:
+  ``ColumnarTrace.timing_table`` memoizes them on the shared trace, so
+  every point of a family after the first reuses its table (on the
+  ``objects`` engine the lazily materialised ``DynInst`` list is the
+  shared artifact instead);
 - the TAGE fold memos — pure ``history -> (index fold, tag fold)``
   functions — are shared across every same-geometry table in the grid
   (:func:`repro.uarch.branch.share_fold_caches`);
@@ -50,7 +51,6 @@ from ..uarch.cache import CacheConfig
 from .base import BoomConfig, CoreResult, RocketConfig, resolve_timing_engine
 from .boom import BoomCore
 from .configs import config_by_name
-from .descriptors import build_boom_table, build_rocket_table
 from .rocket import RocketCore
 
 CoreConfig = Union[RocketConfig, BoomConfig]
@@ -89,9 +89,6 @@ class BatchStats:
     executed: int = 0
     #: Trace fetches paid by this batch (1; a per-config sweep pays N).
     trace_fetches: int = 0
-    #: Descriptor-table compiles amortised (points beyond the first in
-    #: each core family on the columnar engine).
-    tables_shared: int = 0
     #: TAGE tables adopting another same-geometry table's fold memo.
     fold_caches_shared: int = 0
     #: Set when the process pool failed and the run finished inline.
@@ -283,21 +280,6 @@ def _resolve_workers(workers: Optional[int], pending: int) -> int:
     return max(1, min(int(workers), pending))
 
 
-def _precompile_tables(trace, pending: Sequence[GridPoint], engine: str) -> int:
-    """Compile each family's descriptor table once; return shares."""
-    timing_table = getattr(trace, "timing_table", None)
-    if timing_table is None or engine != "columnar":
-        return 0
-    builders = {"rocket": build_rocket_table, "boom": build_boom_table}
-    counts: Dict[str, int] = {}
-    for point in pending:
-        family = "rocket" if isinstance(point.config, RocketConfig) else "boom"
-        counts[family] = counts.get(family, 0) + 1
-    for family in sorted(counts):
-        timing_table(family, builders[family])
-    return sum(count - 1 for count in counts.values())
-
-
 def _run_inline(
     workload: str,
     pending: Sequence[GridPoint],
@@ -310,7 +292,6 @@ def _run_inline(
 
     trace = build_trace(workload, scale=scale)
     stats.trace_fetches = 1
-    stats.tables_shared = _precompile_tables(trace, pending, engine)
     cores = [make_core(point.config) for point in pending]
     stats.fold_caches_shared = share_fold_caches(
         getattr(core, "predictor", None) for core in cores
@@ -381,10 +362,6 @@ def run_batch(
     checkpoint=None,
     workers: Optional[int] = None,
     executor_factory=None,
-    windows: Optional[int] = None,
-    warmup: Optional[int] = None,
-    sampled: bool = False,
-    progress: bool = False,
 ) -> BatchResult:
     """Run one workload across a whole config grid in a single pass.
 
@@ -398,14 +375,6 @@ def run_batch(
     caller owns ``checkpoint.clear()``.  *workers* caps the process
     fan-out (default: the machine's core count; 1 forces the inline
     shared-trace path).  *executor_factory* is injectable for tests.
-
-    With *windows*, every pending point runs through the windowed
-    engine (:func:`repro.cores.windowed.run_windowed_points`): the pool
-    work unit becomes one (grid point, window) pair, so a grid of P
-    points over K windows exposes P*K tasks and keeps every worker busy
-    even on small grids.  Windowed results use their own cache and
-    checkpoint keys (the window plan is folded in), so they never
-    satisfy — or poison — plain batch entries.
     """
     from ..core.tma import compute_tma
     from ..tools import cache as result_cache
@@ -425,29 +394,11 @@ def run_batch(
     done: Dict[str, CoreResult] = {}
     start = time.perf_counter()
 
-    if windows is not None:
-        from .windowed import normalized_warmup
+    def result_key(point: GridPoint) -> str:
+        return result_cache.cache_key(workload, scale, point.config)
 
-        warm = normalized_warmup(windows, warmup, sampled)
-
-        def result_key(point: GridPoint) -> str:
-            return result_cache.windowed_cache_key(
-                workload, scale, point.config, windows, warm, sampled
-            )
-
-        def ckpt_key(point: GridPoint) -> str:
-            return (
-                point_key(workload, point.key)
-                + f";windows={windows};warmup={warm};sampled={int(sampled)}"
-            )
-
-    else:
-
-        def result_key(point: GridPoint) -> str:
-            return result_cache.cache_key(workload, scale, point.config)
-
-        def ckpt_key(point: GridPoint) -> str:
-            return point_key(workload, point.key)
+    def ckpt_key(point: GridPoint) -> str:
+        return point_key(workload, point.key)
 
     if checkpoint is not None:
         for point in points:
@@ -486,27 +437,7 @@ def run_batch(
             )
 
     pending = [point for point in points if point.key not in done]
-    if pending and windows is not None:
-        from .windowed import run_windowed_points
-
-        count = _resolve_workers(workers, len(pending) * max(1, windows))
-        stats.workers = count
-        stats.mode = "process" if count > 1 else "inline"
-        stats.trace_fetches = 1
-        run_windowed_points(
-            workload,
-            pending,
-            windows=windows,
-            scale=scale,
-            warmup=warmup,
-            sampled=sampled,
-            engine=engine_name,
-            workers=count,
-            progress=progress,
-            executor_factory=executor_factory,
-            note=note,
-        )
-    elif pending:
+    if pending:
         count = _resolve_workers(workers, len(pending))
         stats.workers = count
         if count > 1:

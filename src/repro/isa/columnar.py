@@ -29,7 +29,6 @@ Materialized records are bit-identical to what the interpreted
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from array import array
@@ -41,12 +40,6 @@ from .instructions import InstrClass
 
 #: Codec magic + version; bump when the wire layout changes.
 _MAGIC = b"RTRC1"
-
-#: Window-codec magics: the shared static-op table blob and the
-#: per-window column blob (see :meth:`ColumnarTrace.pack_static`,
-#: :meth:`ColumnarTrace.pack_window`, :func:`unpack_window`).
-_STATIC_MAGIC = b"RTRS1"
-_WINDOW_MAGIC = b"RTRW1"
 
 #: Column typecodes: static index, mem address, next pc, taken flag.
 _SIDX_TYPE = "I"
@@ -175,44 +168,6 @@ class ColumnarTrace:
         return self._materialized
 
     # ------------------------------------------------------------------
-    # window views
-    # ------------------------------------------------------------------
-
-    def slice(self, start: int, stop: int) -> "ColumnarTrace":
-        """A window view of dynamic instructions ``[start, stop)``.
-
-        The view shares the ``static_ops`` tuple (and the compiled
-        timing-descriptor table cache, which depends only on it) with
-        the parent by reference; the four columns are array-sliced and
-        the sparse CSR writes rebased to window-local indices.  End-of-
-        run metadata (exit code, halt reason, final registers) is
-        inherited from the parent — a window is a timing view, not an
-        architectural run to completion.
-        """
-        n = len(self.sidx)
-        if not 0 <= start <= stop <= n:
-            raise ValueError(
-                f"window [{start}:{stop}) out of range for trace of {n}")
-        view = ColumnarTrace(
-            self.static_ops,
-            program_name=f"{self.program_name}[{start}:{stop}]",
-            exit_code=self.exit_code,
-            halt_reason=self.halt_reason,
-            final_int_regs=list(self.final_int_regs))
-        view.sidx = self.sidx[start:stop]
-        view.mem_addr = self.mem_addr[start:stop]
-        view.next_pc = self.next_pc[start:stop]
-        view.taken = self.taken[start:stop]
-        view.csr_writes = {i - start: v for i, v in self.csr_writes.items()
-                           if start <= i < stop}
-        view.instret = stop - start
-        # Descriptor tables are a pure function of static_ops, shared by
-        # identity above: share the cache dict too, so K windows of one
-        # trace compile each core family's table at most once.
-        view._timing_tables = self._timing_tables
-        return view
-
-    # ------------------------------------------------------------------
     # summary helpers (column-native: no materialization needed)
     # ------------------------------------------------------------------
 
@@ -273,58 +228,6 @@ class ColumnarTrace:
             self.next_pc.tobytes(), self.taken.tobytes(),
         ))
 
-    def pack_static(self) -> bytes:
-        """Serialize only the shared static-op table + run metadata.
-
-        The window shipping path sends this blob *once* per
-        (trace, worker) and one small :meth:`pack_window` blob per
-        window; :func:`unpack_window` reassembles a window trace,
-        caching the parsed static table by content digest so K windows
-        shipped to the same worker share one ``StaticOp`` tuple.
-        """
-        header = {
-            "name": self.program_name,
-            "exit_code": self.exit_code,
-            "halt_reason": self.halt_reason,
-            "final_int_regs": self.final_int_regs,
-            "static": [
-                [op.pc, op.cls.value, op.dest, list(op.srcs), op.latency,
-                 op.mnemonic, op.mem_width, int(op.is_load),
-                 int(op.is_store), int(op.is_branch), int(op.is_fence),
-                 op.csr]
-                for op in self.static_ops
-            ],
-        }
-        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        return b"".join((_STATIC_MAGIC, struct.pack("<I", len(head)), head))
-
-    def pack_window(self, start: int, stop: int) -> bytes:
-        """Serialize the columns of window ``[start, stop)`` only.
-
-        Pairs with :meth:`pack_static`; the blob carries the window
-        bounds, the rebased CSR writes, and the raw column bytes of the
-        window — O(window) bytes, independent of trace length.
-        """
-        n = len(self.sidx)
-        if not 0 <= start <= stop <= n:
-            raise ValueError(
-                f"window [{start}:{stop}) out of range for trace of {n}")
-        header = {
-            "start": start,
-            "stop": stop,
-            "csr_writes": sorted(
-                (i - start, v) for i, v in self.csr_writes.items()
-                if start <= i < stop),
-        }
-        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        return b"".join((
-            _WINDOW_MAGIC, struct.pack("<I", len(head)), head,
-            self.sidx[start:stop].tobytes(),
-            self.mem_addr[start:stop].tobytes(),
-            self.next_pc[start:stop].tobytes(),
-            self.taken[start:stop].tobytes(),
-        ))
-
     def __reduce__(self):
         # Pickling ships the packed byte codec, never per-DynInst
         # object graphs: a trace crossing a process boundary costs
@@ -375,87 +278,4 @@ def unpack(data: bytes) -> ColumnarTrace:
     except Exception as exc:  # noqa: BLE001 - any damage is one error class
         raise ExecutionError(
             f"cannot unpack columnar trace: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-#: Worker-side cache of parsed static blobs, keyed by content digest:
-#: ``digest -> (static_ops, metadata header, shared timing-table dict)``.
-#: Every window of one trace unpacked in the same process shares one
-#: ``StaticOp`` tuple *and* one compiled descriptor-table cache.
-_STATIC_CACHE: Dict[str, Tuple[Tuple[StaticOp, ...], Dict[str, object],
-                               Dict[str, object]]] = {}
-
-
-def _parse_static(static_blob: bytes):
-    digest = hashlib.sha256(static_blob).hexdigest()
-    hit = _STATIC_CACHE.get(digest)
-    if hit is not None:
-        return hit
-    if static_blob[:len(_STATIC_MAGIC)] != _STATIC_MAGIC:
-        raise ValueError("bad static-blob magic")
-    offset = len(_STATIC_MAGIC)
-    (head_len,) = struct.unpack_from("<I", static_blob, offset)
-    offset += 4
-    header = json.loads(
-        static_blob[offset:offset + head_len].decode("utf-8"))
-    static_ops = tuple(
-        StaticOp(pc, InstrClass(cls), dest, tuple(srcs), latency,
-                 mnemonic, mem_width, bool(il), bool(st), bool(br),
-                 bool(fe), csr)
-        for pc, cls, dest, srcs, latency, mnemonic, mem_width,
-        il, st, br, fe, csr in header["static"])
-    hit = (static_ops, header, {})
-    _STATIC_CACHE[digest] = hit
-    return hit
-
-
-def unpack_window(static_blob: bytes, window_blob: bytes) -> ColumnarTrace:
-    """Reassemble one window trace from the two-part window codec.
-
-    Byte-for-byte equivalent to
-    ``trace.slice(start, stop)`` of the originating trace (pinned by
-    ``tests/test_columnar_trace.py``): same program name, columns, CSR
-    writes, and metadata.  The parsed static table is cached per blob
-    digest, so windows of one trace shipped to the same worker share a
-    single ``StaticOp`` tuple and compiled timing-table cache.
-
-    Raises :class:`~repro.isa.errors.ExecutionError` on damage, like
-    :func:`unpack`.
-    """
-    try:
-        static_ops, meta, timing_tables = _parse_static(static_blob)
-        if window_blob[:len(_WINDOW_MAGIC)] != _WINDOW_MAGIC:
-            raise ValueError("bad window-blob magic")
-        offset = len(_WINDOW_MAGIC)
-        (head_len,) = struct.unpack_from("<I", window_blob, offset)
-        offset += 4
-        header = json.loads(
-            window_blob[offset:offset + head_len].decode("utf-8"))
-        offset += head_len
-        start, stop = header["start"], header["stop"]
-        n = stop - start
-        trace = ColumnarTrace(
-            static_ops,
-            program_name=f"{meta['name']}[{start}:{stop}]",
-            exit_code=meta["exit_code"],
-            halt_reason=meta["halt_reason"],
-            final_int_regs=list(meta["final_int_regs"]))
-        for column, typecode in (
-                (trace.sidx, _SIDX_TYPE), (trace.mem_addr, _ADDR_TYPE),
-                (trace.next_pc, _ADDR_TYPE), (trace.taken, _TAKEN_TYPE)):
-            width = array(typecode).itemsize * n
-            column.frombytes(window_blob[offset:offset + width])
-            offset += width
-        if any(len(c) != n for c in (trace.sidx, trace.mem_addr,
-                                     trace.next_pc, trace.taken)):
-            raise ValueError("truncated window columns")
-        trace.csr_writes = {int(i): int(v) for i, v in header["csr_writes"]}
-        trace.instret = n
-        trace._timing_tables = timing_tables
-        return trace
-    except ExecutionError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - any damage is one error class
-        raise ExecutionError(
-            f"cannot unpack window trace: {type(exc).__name__}: {exc}"
         ) from exc

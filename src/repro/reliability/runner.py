@@ -18,8 +18,9 @@ needs:
 - an optional per-(workload, config) **circuit breaker**: a pair that
   keeps failing trips open and is reported ``quarantined`` instead of
   re-executing (see :mod:`repro.reliability.breaker`),
-- quarantine of poisoned cache entries — verified, deleted, re-run —
-  via the checksummed result cache,
+- quarantine of poisoned cache entries — verified, re-run, then
+  atomically replaced by the fresh result (or deleted when no fresh
+  result is written) — via the checksummed result cache,
 - partial-result reporting: one bad pair marks its own outcome failed
   and the sweep continues.
 """
@@ -217,14 +218,20 @@ class ResilientRunner:
     def _quarantine_if_poisoned(self, workload: str, config: CoreConfig,
                                 outcome: RunOutcome,
                                 report: Optional[SweepReport]) -> None:
-        """Verify the pair's cache entry; delete it if it is poisoned."""
+        """Verify the pair's cache entry; flag it if it is poisoned.
+
+        The entry stays on disk until :meth:`run_one` replaces or
+        deletes it.  A run killed in between (a sibling pool worker's
+        crash tears down every worker) leaves the poisoned entry in
+        place, so the pair's recovery run detects and reports it again
+        instead of finding a silent miss.
+        """
         if not self.use_cache:
             return
         key = cache.cache_key(workload, self.scale, config)
         try:
             cache.verify_entry(key)
         except CacheIntegrityError as exc:
-            cache.quarantine(key)
             outcome.quarantined = True
             outcome.error_class = type(exc).__name__
             outcome.error = str(exc)
@@ -280,14 +287,19 @@ class ResilientRunner:
             if not outcome.quarantined:
                 outcome.error_class = None
                 outcome.error = None
+            stored = False
             if self.use_cache and measurement.result is not None:
                 key = cache.cache_key(workload, self.scale, config)
-                cache.store(key, measurement.result)
+                stored = cache.store(key, measurement.result)
+            if outcome.quarantined and not stored:
+                cache.quarantine(cache.cache_key(workload, self.scale, config))
             outcome.trace_cache = trace_cache.stats_delta(cache_before)
             if self.breaker is not None:
                 self.breaker.record_success(pair)
             return outcome
         outcome.status = "failed"
+        if outcome.quarantined:
+            cache.quarantine(cache.cache_key(workload, self.scale, config))
         outcome.error_class = type(last_error).__name__
         outcome.error = str(last_error)
         outcome.trace_cache = trace_cache.stats_delta(cache_before)

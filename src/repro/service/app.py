@@ -207,21 +207,11 @@ class TMAService:
             # so queue wait does not eat into the execution budget.
             spec = replace(spec, deadline=(record.started_at
                                            + record.job.deadline_seconds))
-        # Windowed jobs stream per-window ticks when the executor keeps
-        # the work in-process; progress callbacks cannot cross process
-        # boundaries, so those deployments stream lifecycle events only.
-        progress = None
-        if spec.windows is not None and self.pool.supports_callbacks:
-            record_id = record.id
-            progress = (lambda message:
-                        self.events.append(record_id, "progress",
-                                           {"message": message}))
         try:
             future = self.pool.submit(spec,
                                       record.job.workload,
                                       record.job.config,
-                                      allow_crash_hook,
-                                      progress=progress)
+                                      allow_crash_hook)
         except Exception as exc:  # noqa: BLE001 - submission itself died
             self._finish_execution(record, error=exc)
             return

@@ -281,8 +281,8 @@ class ServiceClient:
         """Yield SSE lifecycle events for a job until its terminal event.
 
         Events are ``{"id": seq, "event": name, "data": {...}}`` in
-        journal order: ``queued`` → ``running`` → ``progress``\\* →
-        one terminal event (whose data carries the full result), after
+        journal order: ``queued`` → ``running`` → one terminal
+        event (whose data carries the full result), after
         which the generator returns.  On a dropped connection the
         client reconnects with the last seen sequence number
         (``Last-Event-ID``), so resumed streams never replay events —

@@ -63,26 +63,10 @@ class TMAJob:
     #: to an absolute deadline when the job launches and propagates it
     #: into the worker-side runner (see ``RunnerSpec.deadline``).
     deadline_seconds: Optional[float] = None
-    #: Windowed execution: shard the trace into K windows simulated in
-    #: parallel and stitched (:mod:`repro.cores.windowed`).  ``huge``
-    #: tier workloads are accepted *only* with ``windows`` set.
-    windows: Optional[int] = None
-    warmup: Optional[int] = None
-    sampled: bool = False
 
     def validate(self) -> None:
         if self.workload not in workload_names():
-            # Huge-tier workloads are excluded from the default
-            # enumeration; they are valid submissions, but only through
-            # the windowed path.
-            if self.workload in workload_names("huge"):
-                if self.windows is None:
-                    raise JobValidationError(
-                        f"workload {self.workload!r} is in the 'huge' tier "
-                        f"and requires 'windows'")
-            else:
-                raise JobValidationError(
-                    f"unknown workload {self.workload!r}")
+            raise JobValidationError(f"unknown workload {self.workload!r}")
         # A config is a Table IV registry name or a canonical grid
         # point key ("large-boom+l1d=16"), so design-space variants
         # fanned out of a grid submission ride the normal job path.
@@ -106,15 +90,6 @@ class TMAJob:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise JobValidationError(
                 "deadline_seconds must be > 0 or null")
-        if self.windows is not None and self.windows < 1:
-            raise JobValidationError("windows must be >= 1 or null")
-        if self.warmup is not None:
-            if self.windows is None:
-                raise JobValidationError("warmup requires windows")
-            if self.warmup < 0:
-                raise JobValidationError("warmup must be >= 0 or null")
-        if self.sampled and self.windows is None:
-            raise JobValidationError("sampled=true requires windows")
 
     def config_obj(self):
         return resolve_config_spec(self.config)
@@ -140,30 +115,10 @@ class TMAJob:
         digest.update(repr(self.use_cache).encode())
         digest.update(repr(self.max_cycles).encode())
         digest.update(repr(self.deadline_seconds).encode())
-        # The window plan is already folded through cache_key() when
-        # windows is set, but fold the raw triple too so a future
-        # cache-key simplification can never silently coalesce a
-        # windowed job with a plain one.
-        digest.update(
-            repr((self.windows, self.warmup, self.sampled)).encode())
         return digest.hexdigest()[:24]
 
     def cache_key(self) -> str:
-        """Key of the underlying core-result disk-cache entry.
-
-        Windowed jobs key through
-        :func:`repro.tools.cache.windowed_cache_key`, so they read and
-        write the same entries :func:`repro.cores.windowed.run_windowed`
-        uses — and never collide with plain runs.
-        """
-        if self.windows is not None:
-            from ..cores.windowed import normalized_warmup
-            from ..tools.cache import windowed_cache_key
-
-            return windowed_cache_key(
-                self.workload, self.scale, self.config_obj(), self.windows,
-                normalized_warmup(self.windows, self.warmup, self.sampled),
-                self.sampled)
+        """Key of the underlying core-result disk-cache entry."""
         return cache_key(self.workload, self.scale, self.config_obj())
 
     def runner_spec(self) -> RunnerSpec:
@@ -175,9 +130,6 @@ class TMAJob:
             scale=self.scale,
             max_cycles=self.max_cycles,
             use_cache=self.use_cache,
-            windows=self.windows,
-            windows_warmup=self.warmup,
-            windows_sampled=self.sampled,
         )
 
     def to_payload(self) -> Dict[str, Any]:
@@ -191,9 +143,6 @@ class TMAJob:
             "use_cache": self.use_cache,
             "max_cycles": self.max_cycles,
             "deadline_seconds": self.deadline_seconds,
-            "windows": self.windows,
-            "warmup": self.warmup,
-            "sampled": self.sampled,
         }
 
     @classmethod
@@ -203,8 +152,7 @@ class TMAJob:
         if "workload" not in payload:
             raise JobValidationError("job payload requires 'workload'")
         known = {"workload", "config", "scale", "increment_mode", "mode",
-                 "events", "use_cache", "max_cycles", "deadline_seconds",
-                 "windows", "warmup", "sampled"}
+                 "events", "use_cache", "max_cycles", "deadline_seconds"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise JobValidationError(f"unknown job fields: {unknown}")
@@ -228,11 +176,6 @@ class TMAJob:
                 deadline_seconds=(
                     None if payload.get("deadline_seconds") is None
                     else float(payload["deadline_seconds"])),
-                windows=(None if payload.get("windows") is None
-                         else int(payload["windows"])),
-                warmup=(None if payload.get("warmup") is None
-                        else int(payload["warmup"])),
-                sampled=bool(payload.get("sampled", False)),
             )
         except (TypeError, ValueError) as exc:
             raise JobValidationError(f"malformed job payload: {exc}") from exc
@@ -527,16 +470,8 @@ def outcome_payload(outcome: RunOutcome,
             "dominant": tma.dominant_class(),
         }
     if outcome.payload is not None:
-        # Payload-carried flavours: windowed runs label themselves with
-        # kind="windowed" (and always surface the sampled flag — a
-        # sampled extrapolation must never masquerade as an exact run);
-        # anything else is a multicore scenario payload.
-        if (isinstance(outcome.payload, dict)
-                and outcome.payload.get("kind") == "windowed"):
-            payload["windowed"] = outcome.payload
-            payload["sampled"] = bool(outcome.payload.get("sampled", False))
-        else:
-            payload["multicore"] = outcome.payload
+        # The only payload-carried flavour is a multicore scenario.
+        payload["multicore"] = outcome.payload
     return payload
 
 

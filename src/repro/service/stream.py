@@ -4,7 +4,7 @@ The streaming tier is two small pieces:
 
 - :class:`EventJournal` — the service-side append-only log.  Every
   job record gets an ordered event sequence (``queued`` → ``running``
-  → ``progress``\\* → one terminal event) with per-job monotonically
+  → one terminal event) with per-job monotonically
   increasing sequence numbers, and blocking subscription
   (:meth:`EventJournal.wait`) so one HTTP handler thread can stream a
   job live without polling the service.
@@ -20,8 +20,8 @@ including never duplicating the terminal event, which the tests pin
 down.
 
 The journal is bounded on both axes: per-job event counts are capped
-(progress ticks beyond the cap are dropped, never lifecycle events),
-and whole sequences are discarded when the service evicts the
+(non-terminal events beyond the cap are dropped, never the terminal
+one), and whole sequences are discarded when the service evicts the
 matching job record.
 """
 
@@ -38,8 +38,9 @@ from typing import Any, Dict, Iterator, List, Optional
 TERMINAL_EVENTS = frozenset(
     ("done", "failed", "rejected", "requeued", "quarantined"))
 
-#: Per-job cap on journaled events.  Lifecycle events are few; only
-#: ``progress`` ticks can be numerous, so those are the ones shed.
+#: Per-job cap on journaled events.  Lifecycle events are few; past
+#: the cap only non-terminal events are shed, so every stream still
+#: ends with its terminal event.
 MAX_EVENTS_PER_JOB = 512
 
 
@@ -74,7 +75,7 @@ class EventJournal:
         """Journal one event; wakes all waiting subscribers.
 
         Returns the journaled event, or None when the per-job cap shed
-        it (only non-lifecycle ``progress`` ticks are ever shed).
+        it (terminal events are never shed).
         """
         with self._cond:
             sequence = self._events.setdefault(job_id, [])

@@ -23,7 +23,7 @@ import os
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
-from typing import Callable, Optional
+from typing import Optional
 
 from ..chaos import injector as chaos
 from ..cores import resolve_config_spec
@@ -42,9 +42,7 @@ SUBMIT_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay=0.0)
 
 
 def execute_job(spec: RunnerSpec, workload: str, config_name: str,
-                allow_crash_hook: bool = True,
-                progress: Optional[Callable[[str], None]] = None
-                ) -> RunOutcome:
+                allow_crash_hook: bool = True) -> RunOutcome:
     """Run one job (in a pool worker or inline) and return its outcome.
 
     The runner resolves the functional trace through the shared
@@ -53,10 +51,6 @@ def execute_job(spec: RunnerSpec, workload: str, config_name: str,
     per worker at most, and usually zero times (disk hit on packed
     column bytes).  The per-run hit/miss delta rides home on
     ``RunOutcome.trace_cache`` for the service metrics registry.
-
-    ``progress`` is an optional per-window tick sink (windowed jobs
-    only).  It cannot cross a process boundary, so the pool forwards
-    it only on same-process executors; see :meth:`WorkerPool.submit`.
     """
     if allow_crash_hook and in_worker():
         if os.environ.get(CRASH_ENV) == workload:
@@ -66,65 +60,11 @@ def execute_job(spec: RunnerSpec, workload: str, config_name: str,
         chaos.maybe_kill_worker(f"job:{workload}:{config_name}")
     if spec.scenario is not None:
         return _execute_multicore(spec)
-    if spec.windows is not None:
-        return _execute_windowed(spec, workload, config_name,
-                                 progress=progress)
     # Accept grid point keys ("rocket+l1d=8KiB") as well as registry
     # names, so fanned-out grid jobs run through the same path.
     config = resolve_config_spec(config_name)
     runner = spec.build()
     return runner.run_one(workload, config)
-
-
-def _execute_windowed(spec: RunnerSpec, workload: str, config_name: str,
-                      progress: Optional[Callable[[str], None]] = None
-                      ) -> RunOutcome:
-    """Run one windowed job; the result summary rides the outcome.
-
-    The job already executes inside a service pool worker, so the
-    windowed engine runs its windows serially here (``workers=1``)
-    rather than nesting a second process pool; service-level
-    parallelism comes from many jobs in flight.  The outcome payload is
-    labeled ``kind="windowed"`` and always carries the ``sampled`` flag
-    so :func:`repro.service.job.outcome_payload` can surface it.
-    """
-    from ..core.tma import compute_tma
-    from ..cores.windowed import run_windowed
-    from ..isa.errors import DeadlineExceeded
-
-    assert spec.windows is not None
-    config = resolve_config_spec(config_name)
-    try:
-        if spec.deadline is not None and time.time() >= spec.deadline:
-            raise DeadlineExceeded(
-                f"windowed job {workload!r} deadline lapsed before start")
-        result = run_windowed(
-            workload, config, windows=spec.windows, scale=spec.scale,
-            warmup=spec.windows_warmup, sampled=spec.windows_sampled,
-            engine=spec.timing_engine, use_cache=spec.use_cache, workers=1,
-            progress=progress if progress is not None else False)
-        tma = compute_tma(result)
-    except Exception as exc:  # noqa: BLE001 - reported on the outcome
-        return RunOutcome(workload=workload, config_name=config_name,
-                          status="failed", attempts=1,
-                          error_class=type(exc).__name__,
-                          error=str(exc))
-    payload = {
-        "kind": "windowed",
-        "sampled": result.sampled,
-        "windowed": result.windowed,
-        "cycles": result.cycles,
-        "instret": result.instret,
-        "ipc": round(result.instret / result.cycles, 6)
-        if result.cycles else 0.0,
-        "tma": {
-            "level1": {k: round(v, 6) for k, v in tma.level1.items()},
-            "level2": {k: round(v, 6) for k, v in tma.level2.items()},
-            "dominant": tma.dominant_class(),
-        },
-    }
-    return RunOutcome(workload=workload, config_name=config_name,
-                      status="ok", attempts=1, payload=payload)
 
 
 def _execute_multicore(spec: RunnerSpec) -> RunOutcome:
@@ -205,19 +145,8 @@ class WorkerPool:
         executor = self._executor
         return getattr(executor, "kind", None) or self.style
 
-    @property
-    def supports_callbacks(self) -> bool:
-        """True when submissions stay in-process (callables can ride).
-
-        Process executors ship arguments across a process boundary, so
-        live progress callbacks cannot follow; thread and inline
-        executors share the interpreter.
-        """
-        return self.kind in ("thread", "inline")
-
     def submit(self, spec: RunnerSpec, workload: str, config_name: str,
-               allow_crash_hook: bool = True,
-               progress=None) -> Future:
+               allow_crash_hook: bool = True) -> Future:
         # Submission retries follow the shared RetryPolicy: the pool
         # broke between jobs (a worker died idle, or a previous crash
         # poisoned it) — rebuild and resubmit, bounded by the policy's
@@ -231,13 +160,8 @@ class WorkerPool:
                 if pause > 0:
                     time.sleep(pause)
             try:
-                if progress is not None and self.supports_callbacks:
-                    future = executor.submit(execute_job, spec, workload,
-                                             config_name, allow_crash_hook,
-                                             progress)
-                else:
-                    future = executor.submit(execute_job, spec, workload,
-                                             config_name, allow_crash_hook)
+                future = executor.submit(execute_job, spec, workload,
+                                         config_name, allow_crash_hook)
             except (BrokenExecutor, RuntimeError) as exc:
                 last_exc = exc
                 with self._lock:

@@ -19,9 +19,6 @@ the ``DynInst``-walking oracle, on Rocket and BOOM large), and the
 - the batched multi-config engine's wall clock against per-config
   single runs (grid-of-4, inline and pooled, with a bit-identical
   oracle check per grid point),
-- the windowed engine's stitch-identity gate against the ``run_core``
-  oracle, its sampled-mode extrapolation error, and its speedup over a
-  serial run of a huge-tier trace (per-core efficiency gated),
 - the parallel sweep's speedup over serial and its per-worker
   efficiency,
 - whether parallel and serial sweeps merged to identical results.
@@ -79,7 +76,6 @@ GATED_METRICS = (
     "timing.rocket.speedup",
     "timing.boom_large.speedup",
     "timing.batch.speedup",
-    "timing.windowed.efficiency",
     "parallel.efficiency",
 )
 
@@ -268,12 +264,10 @@ def _bench_timing(scale: float, workers: int) -> Dict:
     del traces
     trace_cache.clear_memory()
     batch = _bench_batch(scale, workers)
-    windowed = _bench_windowed(workers)
     return {
         "rocket": rocket,
         "boom_large": boom,
         "batch": batch,
-        "windowed": windowed,
         "identical": bool(
             rocket["identical"] and boom["identical"] and batch["identical"]
         ),
@@ -379,7 +373,6 @@ def _bench_batch(scale: float, workers: int) -> Dict[str, float]:
             "batch_wall_s": round(batch_s, 4),
             "pool_wall_s": round(pool_s, 4),
             "trace_fetches": sum(b.stats.trace_fetches for b in batches.values()),
-            "tables_shared": sum(b.stats.tables_shared for b in batches.values()),
             "fold_caches_shared": sum(
                 b.stats.fold_caches_shared for b in batches.values()
             ),
@@ -387,182 +380,6 @@ def _bench_batch(scale: float, workers: int) -> Dict[str, float]:
             "vs_single": round(vs_single, 3),
             "target_met": bool(vs_single < 2.0),
             "identical": identical,
-        }
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CACHE_DIR", None)
-        else:
-            os.environ["REPRO_CACHE_DIR"] = saved
-        clear_caches()
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-#: Workload basket for the windowed stitch/sampled gates: one FP kernel
-#: and one branchy recursive workload, mirroring the batch basket, at a
-#: fixed small scale so the oracle + stitched + sampled triple stays
-#: CI-cheap in both bench modes.
-WINDOWED_GATE_WORKLOADS = ("mm", "towers")
-WINDOWED_GATE_SCALE = 0.3
-
-#: Huge-tier workload for the windowed speedup measurement: only the
-#: windowed/sampled paths can run the huge tier through ``run_core``,
-#: so the serial baseline drives the core directly over the same trace.
-WINDOWED_HUGE_WORKLOAD = "huge-walk"
-WINDOWED_HUGE_SCALE = 0.5
-
-#: Sampled-mode acceptance bound: the extrapolated TMA level-1 fraction
-#: of every top-level slot must sit within this absolute error of the
-#: full-run oracle on the gate basket.  The basket's small
-#: phase-heterogeneous traces are sampling's worst case (mm's init
-#: loops vs. FP kernel score ~0.11 on the retiring slot,
-#: deterministically); huge-tier traces land well under 0.02.  A broken
-#: extrapolation (wrong coverage factor, dropped spans) lands far past
-#: the bound.
-SAMPLED_ERROR_BOUND = 0.15
-
-
-def _bench_windowed(workers: int) -> Dict[str, float]:
-    """Windowed engine: stitch-identity gate, sampled error, speedup.
-
-    Three measurements against an isolated cache (``use_cache=False``
-    throughout, so every run pays full simulation):
-
-    - ``stitch_ok`` (hard gate): exact-mode windowed runs on the gate
-      basket, stitched and checked against the ``run_core`` oracle with
-      :func:`~repro.cores.windowed.assert_stitch_equivalent` at the
-      calibrated ``GATE_WARMUP`` — bit-identical per-instruction
-      counters, retire counters within the documented edge slack,
-      everything else inside the calibrated tolerance.
-    - ``sampled.error`` (hard gate via ``sampled_ok``): sampled-mode
-      runs on the same basket; the worst absolute TMA level-1 slot
-      deviation from the oracle must stay under
-      :data:`SAMPLED_ERROR_BOUND`, and every sampled result must carry
-      the ``sampled=True`` label and per-slot error bars.
-    - ``speedup``: a huge-tier trace simulated serially (driving the
-      core directly — ``run_core`` refuses huge workloads outside the
-      windowed paths) vs. ``run_windowed`` with ``workers`` processes.
-      Like the pool sections, raw speedup is a property of the runner's
-      core count (exact mode on 1 CPU legitimately scores < 1.0 — it
-      pays ``(K-1) * warmup`` extra instructions with no parallelism to
-      hide them), so the gated ratio is per-core ``efficiency`` and
-      ``target_met`` records the honest verdict alongside
-      ``effective_cores``.  ``sampled_speedup`` shows the other lever:
-      coverage-scaled sampling beats serial even on one core.
-    """
-    from ..core.tma import TOP_LEVEL, compute_tma
-    from ..cores.rocket import RocketCore
-    from ..cores.windowed import GATE_WARMUP, assert_stitch_equivalent, run_windowed
-    from .tma_tool import run_core
-
-    windows = 4
-    saved = os.environ.get("REPRO_CACHE_DIR")
-    tmp = tempfile.mkdtemp(prefix="repro-bench-windowed-")
-    os.environ["REPRO_CACHE_DIR"] = tmp
-    try:
-        clear_caches()
-        stitch_ok = True
-        stitch_error = ""
-        sampled_errors: List[float] = []
-        sampled_labeled = True
-        for name in WINDOWED_GATE_WORKLOADS:
-            oracle = run_core(name, ROCKET, scale=WINDOWED_GATE_SCALE, use_cache=False)
-            stitched = run_windowed(
-                name,
-                ROCKET,
-                windows=windows,
-                scale=WINDOWED_GATE_SCALE,
-                warmup=GATE_WARMUP,
-                use_cache=False,
-                workers=1,
-            )
-            try:
-                assert_stitch_equivalent(stitched, oracle, windows)
-            except AssertionError as exc:
-                stitch_ok = False
-                stitch_error = f"{name}: {exc}"
-            sampled = run_windowed(
-                name,
-                ROCKET,
-                windows=windows,
-                scale=WINDOWED_GATE_SCALE,
-                sampled=True,
-                use_cache=False,
-                workers=1,
-            )
-            bars = bool((sampled.windowed or {}).get("error_bars"))
-            sampled_labeled = sampled_labeled and bool(sampled.sampled) and bars
-            oracle_tma = compute_tma(oracle)
-            sampled_tma = compute_tma(sampled)
-            worst = max(
-                abs(sampled_tma.fraction(slot) - oracle_tma.fraction(slot))
-                for slot in TOP_LEVEL
-            )
-            sampled_errors.append(worst)
-        sampled_error = max(sampled_errors)
-        sampled_ok = bool(sampled_labeled and sampled_error <= SAMPLED_ERROR_BOUND)
-
-        # Speedup on the huge tier: serial core drive vs. windowed pool.
-        trace = build_trace(WINDOWED_HUGE_WORKLOAD, scale=WINDOWED_HUGE_SCALE)
-        start = time.perf_counter()
-        serial_result = RocketCore(ROCKET).run(trace)
-        serial_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        exact = run_windowed(
-            WINDOWED_HUGE_WORKLOAD,
-            ROCKET,
-            windows=windows,
-            scale=WINDOWED_HUGE_SCALE,
-            use_cache=False,
-            workers=workers,
-        )
-        exact_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        sampled_huge = run_windowed(
-            WINDOWED_HUGE_WORKLOAD,
-            ROCKET,
-            windows=windows,
-            scale=WINDOWED_HUGE_SCALE,
-            sampled=True,
-            use_cache=False,
-            workers=workers,
-        )
-        sampled_s = time.perf_counter() - start
-
-        speedup = serial_s / exact_s if exact_s else 0.0
-        sampled_speedup = serial_s / sampled_s if sampled_s else 0.0
-        effective_cores = max(1, min(workers, os.cpu_count() or 1))
-        efficiency = speedup / effective_cores
-        coverage = (sampled_huge.windowed or {}).get("coverage", 0.0)
-        rel_err = 0.0
-        if serial_result.cycles:
-            rel_err = abs(exact.cycles - serial_result.cycles) / serial_result.cycles
-        return {
-            "workloads": len(WINDOWED_GATE_WORKLOADS),
-            "windows": windows,
-            "gate_warmup": GATE_WARMUP,
-            "workers": workers,
-            "effective_cores": effective_cores,
-            "stitch_ok": stitch_ok,
-            "stitch_error": stitch_error,
-            "huge_workload": WINDOWED_HUGE_WORKLOAD,
-            "huge_instructions": len(trace),
-            "huge_cycles_rel_err": round(rel_err, 6),
-            "serial_wall_s": round(serial_s, 4),
-            "windowed_wall_s": round(exact_s, 4),
-            "sampled_wall_s": round(sampled_s, 4),
-            "speedup": round(speedup, 3),
-            "efficiency": round(efficiency, 3),
-            "target_met": bool(efficiency >= 0.70),
-            "sampled_speedup": round(sampled_speedup, 3),
-            "sampled_coverage": round(coverage, 4),
-            "sampled": {
-                "error": round(sampled_error, 6),
-                "bound": SAMPLED_ERROR_BOUND,
-                "labeled": bool(sampled_labeled),
-                "sampled_ok": sampled_ok,
-            },
         }
     finally:
         if saved is None:
@@ -895,9 +712,8 @@ def compare_benchmarks(
     baseline_cores = _lookup(baseline, "parallel.effective_cores")
     cores_match = current_cores == baseline_cores
     problems: List[str] = []
-    per_core_paths = ("parallel.", "timing.windowed.")
     for path in GATED_METRICS if timing else ():
-        if path.startswith(per_core_paths) and not cores_match:
+        if path.startswith("parallel.") and not cores_match:
             continue
         base = _lookup(baseline, path)
         cur = _lookup(current, path)
@@ -923,19 +739,6 @@ def compare_benchmarks(
         problems.append(
             "timing.identical: columnar and object timing engines "
             "produced different CoreResults"
-        )
-    windowed = current.get("timing", {}).get("windowed", {})
-    if not windowed.get("stitch_ok", True):
-        problems.append(
-            "timing.windowed.stitch_ok: stitched window totals diverged "
-            f"from the run_core oracle ({windowed.get('stitch_error', '')})"
-        )
-    if not windowed.get("sampled", {}).get("sampled_ok", True):
-        problems.append(
-            "timing.windowed.sampled_ok: sampled-mode extrapolation "
-            f"error {windowed.get('sampled', {}).get('error')} exceeded "
-            f"the {windowed.get('sampled', {}).get('bound')} bound "
-            "(or results lost the sampled label / error bars)"
         )
     multicore = current.get("multicore", {})
     if not multicore.get("solo_identical", True):
@@ -1041,26 +844,6 @@ def render_payload(payload: Dict) -> str:
                 f"(vs_single {batch['vs_single']:.2f}x, "
                 f"target_met={batch['target_met']})  "
                 f"identical={batch['identical']}"
-            )
-        windowed = timing.get("windowed")
-        if windowed:
-            sampled = windowed["sampled"]
-            lines.append(
-                f"  timing[windowed]: {windowed['huge_workload']} "
-                f"({windowed['huge_instructions']} insts) x "
-                f"{windowed['windows']} windows  "
-                f"serial {windowed['serial_wall_s']:.2f}s  "
-                f"windowed[{windowed['workers']}] "
-                f"{windowed['windowed_wall_s']:.2f}s "
-                f"(speedup {windowed['speedup']:.2f}x, "
-                f"efficiency {windowed['efficiency']:.2f}, "
-                f"target_met={windowed['target_met']})  "
-                f"sampled {windowed['sampled_wall_s']:.2f}s "
-                f"({windowed['sampled_speedup']:.2f}x at "
-                f"{windowed['sampled_coverage']:.0%} coverage)  "
-                f"stitch_ok={windowed['stitch_ok']}  "
-                f"sampled_err={sampled['error']:.4f} "
-                f"(ok={sampled['sampled_ok']})"
             )
     lines += [
         f"  parallel: {par['runs']} sweep pairs  "

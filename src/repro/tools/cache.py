@@ -2,8 +2,9 @@
 
 Cycle-level simulation is the expensive step of the pipeline, so results
 are cached as JSON keyed by (workload, scale, config, model fingerprint).
-The fingerprint hashes the source of every module that influences timing,
-so editing the simulator invalidates stale results automatically.
+The fingerprint hashes the source of every module in the packages that
+influence timing (:data:`FINGERPRINT_PACKAGES`), so editing the
+simulator invalidates stale results automatically.
 
 Integrity: every entry written by :func:`store` embeds a checksum of its
 payload, so silent on-disk corruption (a flipped byte that is still
@@ -32,7 +33,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..cores.base import BoomConfig, CoreResult, RocketConfig
 from ..isa.errors import CacheIntegrityError
@@ -44,33 +45,40 @@ _LIMIT_BYTES_ENV = "REPRO_CACHE_LIMIT_BYTES"
 _LIMIT_ENTRIES_ENV = "REPRO_CACHE_LIMIT_ENTRIES"
 _DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".cache" / "results"
 
-_FINGERPRINT_MODULES = (
-    "repro.isa.executor", "repro.isa.assembler", "repro.isa.instructions",
-    "repro.uarch.cache", "repro.uarch.branch", "repro.uarch.tlb",
-    "repro.cores.base", "repro.cores.rocket.core", "repro.cores.boom.core",
-    "repro.cores.windowed",
-    "repro.workloads.micro", "repro.workloads.spec",
-    "repro.workloads.casestudy", "repro.workloads.data",
-    "repro.workloads.huge",
-)
+#: The ``repro`` package directory the fingerprints read sources from.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: Subpackages of ``repro`` whose every module can change a timing
+#: result: functional semantics, microarchitecture, the core loops and
+#: their descriptor tables, and the workload sources.
+FINGERPRINT_PACKAGES = ("isa", "uarch", "cores", "workloads")
 
 _fingerprint_cache: Optional[str] = None
+
+
+def source_fingerprint(root: Path, packages: Sequence[str]) -> str:
+    """Hash of every ``*.py`` under ``root/<package>`` (recursive).
+
+    Files are visited in sorted order and each contributes its path
+    relative to *root* and its source, so adding, renaming or editing
+    any module changes the hash.
+    """
+    root = Path(root)
+    paths = sorted(path for package in packages
+                   for path in (root / package).rglob("*.py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def model_fingerprint() -> str:
     """Hash of every timing-relevant module's source."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
-        import importlib
-
-        digest = hashlib.sha256()
-        for module_name in _FINGERPRINT_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint_cache = digest.hexdigest()[:16]
+        _fingerprint_cache = source_fingerprint(PACKAGE_ROOT,
+                                                FINGERPRINT_PACKAGES)
     return _fingerprint_cache
 
 
@@ -115,24 +123,6 @@ def cache_key(workload: str, scale: float,
     return digest.hexdigest()[:24]
 
 
-def windowed_cache_key(workload: str, scale: float,
-                       config: Union[RocketConfig, BoomConfig],
-                       windows: int, warmup: int,
-                       sampled: bool) -> str:
-    """Cache key for a windowed/sampled run of (workload, scale, config).
-
-    Folds the window plan on top of :func:`cache_key` so a stitched (or
-    extrapolated) result can never collide with the plain full-run
-    entry, another window count, or the other mode — exact and sampled
-    results live in distinct slots by construction.
-    """
-    digest = hashlib.sha256()
-    digest.update(cache_key(workload, scale, config).encode())
-    digest.update(
-        f"windows={windows};warmup={warmup};sampled={int(sampled)}".encode())
-    return digest.hexdigest()[:24]
-
-
 def _serialize(result: CoreResult) -> Dict[str, Any]:
     return {
         "workload": result.workload,
@@ -149,8 +139,6 @@ def _serialize(result: CoreResult) -> Dict[str, Any]:
         "l2_stats": asdict(result.l2_stats),
         "predictor_stats": asdict(result.predictor_stats),
         "extra": result.extra,
-        "sampled": result.sampled,
-        "windowed": result.windowed,
     }
 
 
@@ -171,9 +159,6 @@ def _deserialize(payload: Dict[str, Any]) -> CoreResult:
         l2_stats=CacheStats(**payload["l2_stats"]),
         predictor_stats=PredictorStats(**payload["predictor_stats"]),
         extra=payload.get("extra", {}),
-        # Absent in pre-windowing entries: default to a plain exact run.
-        sampled=bool(payload.get("sampled", False)),
-        windowed=payload.get("windowed"),
     )
 
 

@@ -53,41 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="bypass the on-disk result cache")
 
 
-def _add_windowing(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--windows", type=int, default=None,
-                        help="shard the trace into K windows simulated in "
-                             "parallel and stitched (default: REPRO_WINDOWS "
-                             "env, else unwindowed); required for 'huge' "
-                             "tier workloads")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="per-window warmup overlap in instructions "
-                             "(default: REPRO_WINDOW_WARMUP env, else the "
-                             "engine default; see docs/windowed.md)")
-    parser.add_argument("--sampled", action="store_true",
-                        help="sample one span per window period and "
-                             "extrapolate (results are always labeled "
-                             "sampled, with per-slot error bars)")
-    parser.add_argument("--progress", action="store_true",
-                        help="per-window progress ticks on stderr")
-
-
-def _sampled_banner(result) -> Optional[str]:
-    """The sampled-mode label + error bars for one windowed CoreResult."""
-    if not getattr(result, "sampled", False):
-        return None
-    meta = result.windowed or {}
-    lines = [f"SAMPLED run (coverage {meta.get('coverage', 0):.1%}): "
-             "totals are extrapolated, never exact"]
-    bars = meta.get("error_bars") or {}
-    for slot in sorted(bars):
-        bar = bars[slot]
-        lines.append(
-            f"  {slot:<16s} {bar['mean']:.4f} "
-            f"[{bar['low']:.4f}, {bar['high']:.4f}] "
-            f"(stderr {bar['stderr']:.4f})")
-    return "\n".join(lines)
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     for name in workload_names(args.category):
         workload = get_workload(name)
@@ -100,27 +65,11 @@ def _cmd_tma(args: argparse.Namespace) -> int:
     from .tma_tool import run_core
 
     config = config_by_name(args.config)
-    try:
-        core_result = run_core(args.workload, config, scale=args.scale,
-                               use_cache=not args.no_cache,
-                               engine=args.timing_engine,
-                               windows=args.windows, warmup=args.warmup,
-                               sampled=args.sampled, progress=args.progress)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    banner = _sampled_banner(core_result)
-    if banner:
-        print(banner)
-        print()
+    core_result = run_core(args.workload, config, scale=args.scale,
+                           use_cache=not args.no_cache,
+                           engine=args.timing_engine)
     print(render_result(compute_tma(core_result),
                         show_level2=not args.top_only))
-    meta = core_result.windowed
-    if meta is not None:
-        print(f"\nwindowed: windows={meta['windows']} "
-              f"warmup={meta['warmup']} sampled={meta['sampled']} "
-              f"coverage={meta['coverage']:.1%} "
-              f"wall={meta.get('wall_s', 0):.3f}s")
     return 0
 
 
@@ -132,41 +81,22 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     config = config_by_name(args.config)
     names = workload_names(args.category)
-    if args.category == "huge" and args.windows is None:
-        print("the 'huge' tier is only runnable windowed: pass --windows "
-              "(optionally --sampled); see docs/windowed.md",
-              file=sys.stderr)
-        return 2
     # Crash-safe progress: every finished workload is checkpointed, so
     # a killed run (or a lapsed --deadline) resumes with --resume
     # instead of starting over.  The signature ties the checkpoint to
     # this exact grid + code fingerprint; any mismatch discards it.
-    # Window parameters fold into both tag and signature, so a windowed
-    # suite never resumes from (or poisons) a plain suite's checkpoint.
-    window_tag = (f"-w{args.windows}-u{args.warmup}-s{int(args.sampled)}"
-                  if args.windows is not None else "")
     checkpoint = SweepCheckpoint(
-        tag=(f"suite-{args.category or 'all'}-{args.config}-{args.scale:g}"
-             f"{window_tag}"),
-        signature=grid_signature(names, [config.name], args.scale,
-                                 extra=window_tag))
+        tag=f"suite-{args.category or 'all'}-{args.config}-{args.scale:g}",
+        signature=grid_signature(names, [config.name], args.scale))
     if not args.resume:
         checkpoint.clear()
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
-    if args.sampled:
-        print("SAMPLED suite: totals are extrapolated, never exact",
-              file=sys.stderr)
     try:
         results = run_suite(names, config, scale=args.scale,
                             use_cache=not args.no_cache,
                             engine=args.timing_engine,
-                            checkpoint=checkpoint, deadline=deadline,
-                            windows=args.windows, warmup=args.warmup,
-                            sampled=args.sampled, progress=args.progress)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+                            checkpoint=checkpoint, deadline=deadline)
     except SuiteDeadlineExceeded as exc:
         if exc.results:
             print(render_breakdown_table(
@@ -179,8 +109,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return 3
     checkpoint.clear()
     suite_title = f"{args.category or 'all'} suite on {config.name}"
-    if args.sampled:
-        suite_title += " (SAMPLED: extrapolated)"
     print(render_breakdown_table(results, title=suite_title))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -202,8 +130,6 @@ def _render_grid_matrix(batch) -> str:
     header += [f"{cls.split('_')[0]:>11s}" for cls in TOP_LEVEL]
     header.append(f"{'IPC':>8s}{'cycles':>12s}")
     title = f"{batch.workload} (scale {batch.scale:g})"
-    if any(getattr(result, "sampled", False) for result in batch.results):
-        title += "  [SAMPLED: extrapolated]"
     lines = [title, "".join(header)]
     for point, result, tma in zip(batch.points, batch.results, batch.tma):
         row = [f"{point.key:<28.28s}"]
@@ -215,7 +141,6 @@ def _render_grid_matrix(batch) -> str:
     shared = (f"mode={stats.mode} workers={stats.workers} "
               f"executed={stats.executed} cache_hits={stats.cache_hits} "
               f"restored={stats.restored} trace_fetches={stats.trace_fetches} "
-              f"tables_shared={stats.tables_shared} "
               f"folds_shared={stats.fold_caches_shared} "
               f"wall={stats.wall_s:.3f}s")
     if stats.fallback_reason:
@@ -232,21 +157,13 @@ def _grid_json_payload(points, batches, scale: float) -> dict:
     workloads = {}
     degraded = []
     def point_payload(point, result, tma) -> dict:
-        payload = {
+        return {
             "config": point.config.name,
             "cycles": result.cycles,
             "instret": result.instret,
             "ipc": tma.ipc,
             "tma": {cls: tma.fraction(cls) for cls in TOP_LEVEL},
         }
-        if getattr(result, "windowed", None) is not None:
-            # Windowed runs surface the plan, per-window wall times,
-            # and (when sampled) the error bars — and always the
-            # sampled flag, so automation can never mistake an
-            # extrapolation for an exact run.
-            payload["sampled"] = result.sampled
-            payload["windowed"] = result.windowed
-        return payload
 
     for batch in batches:
         workloads[batch.workload] = {
@@ -282,7 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.workloads:
         names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        known = set(workload_names()) | set(workload_names("huge"))
+        known = set(workload_names())
         unknown = [name for name in names if name not in known]
         if unknown:
             print(f"unknown workload(s): {', '.join(unknown)}",
@@ -290,44 +207,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     else:
         names = workload_names(args.category)
-    huge = set(workload_names("huge"))
-    if any(name in huge for name in names) and args.windows is None:
-        print("'huge' tier workloads are only runnable windowed: pass "
-              "--windows (optionally --sampled); see docs/windowed.md",
-              file=sys.stderr)
-        return 2
     # One checkpoint spans the whole (workloads x points) sweep; the
     # signature folds the canonical grid key, so a checkpoint from a
     # different grid (or an edited simulator) is discarded, and the
-    # deterministic tag lets --resume find it again.  Window parameters
-    # fold in too: a windowed sweep and a plain sweep of the same grid
-    # are different experiments and must never share progress.
-    window_tag = (f"w{args.windows}-u{args.warmup}-s{int(args.sampled)}"
-                  if args.windows is not None else "")
+    # deterministic tag lets --resume find it again.
     signature = grid_signature(
         names, [point.key for point in points], args.scale,
-        extra=canonical_grid_key("+".join(sorted(names)), points, args.scale)
-        + window_tag)
+        extra=canonical_grid_key("+".join(sorted(names)), points, args.scale))
     checkpoint = SweepCheckpoint(tag=f"sweep-{signature[:12]}",
                                  signature=signature)
     if not args.resume:
         checkpoint.clear()
     deadline = (time.time() + args.deadline
                 if args.deadline is not None else None)
-    if args.sampled:
-        print("SAMPLED sweep: totals are extrapolated, never exact",
-              file=sys.stderr)
     try:
         batches = run_grid(names, points, scale=args.scale,
                            use_cache=not args.no_cache,
                            engine=args.timing_engine,
                            workers=args.workers,
-                           checkpoint=checkpoint, deadline=deadline,
-                           windows=args.windows, warmup=args.warmup,
-                           sampled=args.sampled, progress=args.progress)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+                           checkpoint=checkpoint, deadline=deadline)
     except SuiteDeadlineExceeded as exc:
         for batch in exc.results:
             print(_render_grid_matrix(batch))
@@ -716,12 +614,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
               "use_cache": not args.no_cache}
     if args.deadline is not None:
         fields["deadline_seconds"] = args.deadline
-    if args.windows is not None:
-        fields["windows"] = args.windows
-        if args.warmup is not None:
-            fields["warmup"] = args.warmup
-        if args.sampled:
-            fields["sampled"] = True
     receipts = []
     try:
         for workload in workloads:
@@ -746,13 +638,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 for event in client.stream(receipt["id"]):
                     name = event.get("event")
                     data = event.get("data", {})
-                    if name == "progress":
-                        print(f"{receipt['id']} {data.get('message')}",
-                              file=sys.stderr)
-                    else:
-                        print(f"{receipt['id']} {name}"
-                              + (f" [{data.get('state')}]"
-                                 if name in ("failed", "rejected") else ""))
+                    print(f"{receipt['id']} {name}"
+                          + (f" [{data.get('state')}]"
+                             if name in ("failed", "rejected") else ""))
                     if (name in ("failed", "rejected", "requeued",
                                  "quarantined")):
                         failed += 1
@@ -767,13 +655,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         result = record.get("result") or {}
         if record["state"] == "done":
             tma = result.get("tma", {})
-            windowed = result.get("windowed") or {}
-            if windowed:
-                tma = windowed.get("tma", tma)
-            label = " SAMPLED" if result.get("sampled") else ""
-            print(f"{record['id']} done{label} "
+            print(f"{record['id']} done "
                   f"workload={record['job']['workload']} "
-                  f"ipc={result.get('ipc', windowed.get('ipc'))} "
+                  f"ipc={result.get('ipc')} "
                   f"dominant={tma.get('dominant')} "
                   f"from_cache={result.get('from_cache')} "
                   f"latency={record.get('latency_seconds')}s")
@@ -835,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list registered workloads")
     p_list.add_argument("--category", default=None,
-                        choices=["micro", "spec", "case-study", "huge"])
+                        choices=["micro", "spec", "case-study"])
     p_list.set_defaults(func=_cmd_list)
 
     p_tma = sub.add_parser("tma", help="TMA report for one workload")
@@ -843,12 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tma.add_argument("--top-only", action="store_true")
     _add_common(p_tma)
     _add_timing_engine(p_tma)
-    _add_windowing(p_tma)
     p_tma.set_defaults(func=_cmd_tma)
 
     p_suite = sub.add_parser("suite", help="TMA table for a suite")
     p_suite.add_argument("--category", default="micro",
-                         choices=["micro", "spec", "case-study", "huge"])
+                         choices=["micro", "spec", "case-study"])
     p_suite.add_argument("--json", default=None,
                          help="also write the results as JSON")
     p_suite.add_argument("--csv", default=None,
@@ -861,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "checkpointed, exit code 3 when it lapses")
     _add_common(p_suite)
     _add_timing_engine(p_suite)
-    _add_windowing(p_suite)
     p_suite.set_defaults(func=_cmd_suite)
 
     p_sweep = sub.add_parser(
@@ -880,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated workload names "
                               "(default: --category)")
     p_sweep.add_argument("--category", default="micro",
-                         choices=["micro", "spec", "case-study", "huge"])
+                         choices=["micro", "spec", "case-study"])
     p_sweep.add_argument("--scale", type=float, default=1.0,
                          help="workload scale factor")
     p_sweep.add_argument("--no-cache", action="store_true",
@@ -898,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="wall-clock budget in seconds; progress is "
                               "checkpointed, exit code 3 when it lapses")
     _add_timing_engine(p_sweep)
-    _add_windowing(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_mc = sub.add_parser(
@@ -1050,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="follow each job's SSE lifecycle stream "
                                "instead of polling")
     _add_common(p_submit)
-    _add_windowing(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
     p_chaos = sub.add_parser(

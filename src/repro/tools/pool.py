@@ -96,15 +96,6 @@ class RunnerSpec:
     scenario_scale: Optional[float] = None
     scenario_shared_bus: Optional[bool] = None
     scenario_arbitration: Optional[str] = None
-    #: Windowed dispatch: a window count routes
-    #: :func:`repro.service.workers.execute_job` through the windowed
-    #: engine (:mod:`repro.cores.windowed`) instead of the single-shot
-    #: runner.  ``windows_warmup=None`` defers to the engine default;
-    #: ``windows_sampled`` switches to extrapolated sampling (results
-    #: are always labeled ``sampled=True``).
-    windows: Optional[int] = None
-    windows_warmup: Optional[int] = None
-    windows_sampled: bool = False
 
     @classmethod
     def from_runner(cls, runner: ResilientRunner) -> "RunnerSpec":

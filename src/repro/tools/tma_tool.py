@@ -43,12 +43,7 @@ class SuiteDeadlineExceeded(DeadlineExceeded):
 
 def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
              use_cache: bool = True,
-             engine: Optional[str] = None,
-             windows: Optional[int] = None,
-             warmup: Optional[int] = None,
-             sampled: bool = False,
-             workers: Optional[int] = None,
-             progress: bool = False) -> CoreResult:
+             engine: Optional[str] = None) -> CoreResult:
     """Replay *workload* through the timing model for *config*.
 
     Results are cached on disk keyed by a fingerprint of every module
@@ -58,37 +53,7 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
     to ``REPRO_TIMING_ENGINE``, default ``columnar``).  The engines are
     bit-identical, so the disk cache is deliberately shared between
     them: the key does not include the engine.
-
-    *windows* shards the trace into K instruction windows simulated in
-    parallel and stitched (:mod:`repro.cores.windowed`); *warmup* sets
-    the per-window warmup overlap, *sampled* switches to extrapolated
-    SimPoint-style sampling (result labeled ``sampled=True``).  With no
-    explicit *windows*, the ``REPRO_WINDOWS`` / ``REPRO_WINDOW_WARMUP``
-    environment knobs supply defaults.  Windowed results use their own
-    cache keys (:func:`repro.tools.cache.windowed_cache_key`), so they
-    never collide with plain runs.  Workloads in the ``huge`` registry
-    tier are *only* runnable through the windowed/sampled paths.
     """
-    from ..cores.windowed import resolve_windows_env, run_windowed
-    from ..workloads.registry import HUGE_CATEGORY, workload_category
-
-    if windows is None:
-        env_windows, env_warmup = resolve_windows_env()
-        windows = env_windows
-        if warmup is None:
-            warmup = env_warmup
-    if windows is not None:
-        return run_windowed(
-            workload, config, windows=windows, scale=scale, warmup=warmup,
-            sampled=sampled, engine=engine, use_cache=use_cache,
-            workers=workers, progress=progress)
-    if sampled:
-        raise ValueError("sampled=True requires windows= to be set")
-    if workload_category(workload) == HUGE_CATEGORY:
-        raise ValueError(
-            f"workload {workload!r} is in the {HUGE_CATEGORY!r} tier and "
-            f"is only runnable windowed: pass windows= (or --windows), "
-            f"optionally with sampled=True")
     key = cache.cache_key(workload, scale, config)
     if use_cache:
         cached = cache.load(key)
@@ -107,18 +72,10 @@ def run_core(workload: str, config: CoreConfig, scale: float = 1.0,
 
 def run_tma(workload: str, config: CoreConfig = LARGE_BOOM,
             scale: float = 1.0, use_cache: bool = True,
-            engine: Optional[str] = None,
-            windows: Optional[int] = None,
-            warmup: Optional[int] = None,
-            sampled: bool = False,
-            workers: Optional[int] = None,
-            progress: bool = False) -> TmaResult:
+            engine: Optional[str] = None) -> TmaResult:
     """End-to-end: workload name + core config -> TMA classification."""
     return compute_tma(run_core(workload, config, scale=scale,
-                                use_cache=use_cache, engine=engine,
-                                windows=windows, warmup=warmup,
-                                sampled=sampled, workers=workers,
-                                progress=progress))
+                                use_cache=use_cache, engine=engine))
 
 
 def run_suite(workloads: Sequence[str], config: CoreConfig,
@@ -126,12 +83,7 @@ def run_suite(workloads: Sequence[str], config: CoreConfig,
               use_cache: bool = True,
               engine: Optional[str] = None,
               checkpoint: Optional[SweepCheckpoint] = None,
-              deadline: Optional[float] = None,
-              windows: Optional[int] = None,
-              warmup: Optional[int] = None,
-              sampled: bool = False,
-              workers: Optional[int] = None,
-              progress: bool = False) -> List[TmaResult]:
+              deadline: Optional[float] = None) -> List[TmaResult]:
     """TMA for a list of workloads on one configuration.
 
     With a *checkpoint*, workloads it already holds are restored (the
@@ -148,10 +100,6 @@ def run_suite(workloads: Sequence[str], config: CoreConfig,
     results: List[TmaResult] = []
     for position, name in enumerate(workloads):
         key = point_key(name, config.name)
-        if windows is not None:
-            # Windowed runs must never satisfy (or poison) a plain
-            # run's checkpoint entry: fold the window parameters in.
-            key += f";windows={windows};warmup={warmup};sampled={int(sampled)}"
         if checkpoint is not None:
             payload = checkpoint.get(key)
             if payload is not None:
@@ -168,8 +116,7 @@ def run_suite(workloads: Sequence[str], config: CoreConfig,
                 f"{len(workloads)} workloads remaining",
                 results=results, remaining=remaining)
         result = run_core(name, config, scale=scale, use_cache=use_cache,
-                          engine=engine, windows=windows, warmup=warmup,
-                          sampled=sampled, workers=workers, progress=progress)
+                          engine=engine)
         if checkpoint is not None:
             checkpoint.record(key, cache.serialize_result(result))
         results.append(compute_tma(result))
@@ -182,11 +129,7 @@ def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
              engine: Optional[str] = None,
              workers: Optional[int] = None,
              checkpoint: Optional[SweepCheckpoint] = None,
-             deadline: Optional[float] = None,
-             windows: Optional[int] = None,
-             warmup: Optional[int] = None,
-             sampled: bool = False,
-             progress: bool = False) -> List["BatchResult"]:
+             deadline: Optional[float] = None) -> List["BatchResult"]:
     """Batched design-space sweep: workloads x grid points.
 
     Each workload runs through :func:`repro.cores.batch.run_batch`,
@@ -211,8 +154,7 @@ def run_grid(workloads: Sequence[str], points: Sequence["GridPoint"],
                 results=results, remaining=remaining)
         results.append(run_batch(
             name, points, scale=scale, engine=engine, use_cache=use_cache,
-            checkpoint=checkpoint, workers=workers, windows=windows,
-            warmup=warmup, sampled=sampled, progress=progress))
+            checkpoint=checkpoint, workers=workers))
     return results
 
 

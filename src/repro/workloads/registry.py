@@ -41,12 +41,6 @@ class Workload:
     expected_exit: Optional[Callable[[float], int]] = None
 
 
-#: The long-trace tier: workloads too slow for full serial simulation.
-#: They are excluded from default registry enumeration and runnable
-#: only through the windowed/sampled paths (``run_core(windows=...)``).
-HUGE_CATEGORY = "huge"
-
-
 #: Reserved pseudo-workload name meaning "this core slot is unused".
 #: Multicore scenarios accept it wherever a workload name is expected;
 #: it never reaches :func:`build_trace` (an idle slot instantiates no
@@ -77,25 +71,12 @@ def register(workload: Workload) -> Workload:
 
 
 def workload_names(category: Optional[str] = None) -> List[str]:
-    """All registered names, optionally filtered by category.
-
-    The default (``category=None``) deliberately *excludes* the
-    :data:`HUGE_CATEGORY` tier: huge workloads are gated to the
-    windowed/sampled simulation paths, so they must never ride into
-    full-registry enumerations (tier-1 suites, default sweeps)
-    implicitly.  Ask for them explicitly with ``category="huge"``.
-    """
+    """All registered names, optionally filtered by category."""
     _ensure_loaded()
     if category is None:
-        return sorted(name for name, w in _REGISTRY.items()
-                      if w.category != HUGE_CATEGORY)
+        return sorted(_REGISTRY)
     return sorted(name for name, w in _REGISTRY.items()
                   if w.category == category)
-
-
-def workload_category(name: str) -> str:
-    """The registry category of *name* (KeyError on unknown names)."""
-    return get_workload(name).category
 
 
 def get_workload(name: str) -> Workload:
@@ -185,5 +166,5 @@ def _ensure_loaded() -> None:
     """Import the workload modules so their register() calls run."""
     global _LOADED
     if not _LOADED:
-        from . import casestudy, huge, micro, spec  # noqa: F401
+        from . import casestudy, micro, spec  # noqa: F401
         _LOADED = True

@@ -35,7 +35,6 @@ the parent / service metrics registry.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import os
 import threading
 from collections import OrderedDict
@@ -51,14 +50,10 @@ _DISK_LIMIT_ENV = "REPRO_TRACE_CACHE_ENTRIES"
 _DEFAULT_MEM_ENTRIES = 64
 _DEFAULT_DISK_ENTRIES = 512
 
-#: Modules whose source defines functional-trace semantics; editing any
-#: of them must invalidate every memoized trace.
-_FINGERPRINT_MODULES = (
-    "repro.isa.assembler", "repro.isa.instructions", "repro.isa.executor",
-    "repro.isa.compiler", "repro.isa.columnar", "repro.isa.memory",
-    "repro.workloads.micro", "repro.workloads.spec",
-    "repro.workloads.casestudy", "repro.workloads.data",
-)
+#: Subpackages of ``repro`` whose sources define functional-trace
+#: semantics; editing any of their modules must invalidate every
+#: memoized trace.
+FINGERPRINT_PACKAGES = ("isa", "workloads")
 
 _STAT_KEYS = ("mem_hits", "disk_hits", "misses", "disk_corrupt")
 
@@ -121,14 +116,9 @@ def fingerprint() -> str:
     """Hash of every functional-semantics module's source."""
     global _fingerprint
     if _fingerprint is None:
-        digest = hashlib.sha256()
-        for module_name in _FINGERPRINT_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _fingerprint = digest.hexdigest()[:16]
+        from ..tools.cache import PACKAGE_ROOT, source_fingerprint
+
+        _fingerprint = source_fingerprint(PACKAGE_ROOT, FINGERPRINT_PACKAGES)
     return _fingerprint
 
 

@@ -86,8 +86,9 @@ def test_batch_shares_tables_and_folds_on_columnar():
     stats = batch.stats
     assert stats.mode == "inline"
     # One rocket + three BOOM points: each family compiles its
-    # descriptor table once, the points beyond the first share it.
-    assert stats.tables_shared == 2
+    # descriptor table once on the shared trace, and the points beyond
+    # the first reuse it.
+    assert sorted(trace._timing_tables) == ["boom", "rocket"]
     # Three TAGE-predicting BOOMs x four same-geometry tables, minus
     # the four donor tables.
     assert stats.fold_caches_shared == 8

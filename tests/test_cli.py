@@ -215,6 +215,20 @@ def test_executor_ladder_is_closed(capsys):
     capsys.readouterr()
 
 
+def test_windowed_and_huge_surfaces_are_gone(capsys):
+    from repro.service.job import JobValidationError, TMAJob
+
+    with pytest.raises(JobValidationError, match="unknown job fields"):
+        TMAJob.from_payload({"workload": "towers", "windows": 2})
+    parser = build_parser()
+    for argv in (["tma", "--workload", "towers", "--windows", "2"],
+                 ["list", "--category", "huge"]):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
 def test_submit_unreachable_server(capsys):
     code, _, err = run_cli(capsys, "submit", "--url",
                            "http://127.0.0.1:9", "--workload", "vvadd",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cores import config_by_name
 from repro.isa import ColumnarTrace, ExecutionError, execute, execute_compiled
-from repro.isa.columnar import unpack, unpack_window
+from repro.isa.columnar import unpack
 from repro.pmu.harness import make_core
 from repro.workloads import build_program
 
@@ -91,48 +91,6 @@ def test_getitem_slice_has_list_semantics(trace):
         [i.pc for i in trace.instructions[-3:]]
     fresh.instructions  # materialize
     assert [i.pc for i in fresh[2:10]] == [i.pc for i in expect]
-
-
-def test_slice_is_a_shared_static_view(trace):
-    start, stop = 5, len(trace) // 2
-    view = trace.slice(start, stop)
-    assert len(view) == stop - start
-    assert view.static_ops is trace.static_ops
-    assert view._timing_tables is trace._timing_tables
-    assert view.program_name == f"{trace.program_name}[{start}:{stop}]"
-    expect = trace.instructions[start:stop]
-    got = view.instructions
-    assert [i.pc for i in got] == [i.pc for i in expect]
-    assert [i.mnemonic for i in got] == [i.mnemonic for i in expect]
-    assert [i.mem_addr for i in got] == [i.mem_addr for i in expect]
-    assert [i.taken for i in got] == [i.taken for i in expect]
-    for bad in ((-1, 4), (4, 2), (0, len(trace) + 1)):
-        with pytest.raises(ValueError):
-            trace.slice(*bad)
-
-
-def test_window_codec_round_trips_byte_identical(trace):
-    static_blob = trace.pack_static()
-    start, stop = 3, 40
-    restored = unpack_window(static_blob, trace.pack_window(start, stop))
-    # The reassembled window is byte-for-byte the slice() view.
-    assert restored.pack() == trace.slice(start, stop).pack()
-    with pytest.raises(ValueError):
-        trace.pack_window(10, len(trace) + 1)
-    with pytest.raises(ExecutionError):
-        unpack_window(static_blob, b"NOPE")
-    with pytest.raises(ExecutionError):
-        unpack_window(b"NOPE", trace.pack_window(start, stop))
-
-
-def test_window_unpack_shares_one_static_table(trace):
-    static_blob = trace.pack_static()
-    a = unpack_window(static_blob, trace.pack_window(0, 16))
-    b = unpack_window(static_blob, trace.pack_window(16, 64))
-    # K windows shipped to one worker share a single parsed StaticOp
-    # tuple and one compiled timing-table cache — no duplication.
-    assert a.static_ops is b.static_ops
-    assert a._timing_tables is b._timing_tables
 
 
 @pytest.mark.parametrize("config_name", ["rocket", "small-boom"])

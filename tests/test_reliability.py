@@ -221,6 +221,31 @@ def test_runner_quarantines_poisoned_entry_and_recovers(isolated_cache):
     assert cache.verify_entry(key)  # repopulated with a good entry
 
 
+def test_poisoned_entry_survives_a_run_killed_before_its_rewrite(
+        isolated_cache):
+    # A pool worker torn down mid-run (a sibling's crash breaks the whole
+    # pool) must leave the poisoned entry on disk, so the recovery run
+    # detects and reports it instead of seeing a plain miss.
+    key = cache.cache_key("median", 0.2, LARGE_BOOM)
+    cache.store(key, measure().result)
+    cache.entry_path(key).write_text('{"workload": "median"}')
+    runner = ResilientRunner(harness=PerfHarness(core="boom"),
+                             event_names=EVENTS, scale=0.2)
+
+    def killed(*args, **kwargs):
+        raise SystemExit("worker torn down")
+
+    runner.harness.measure = killed
+    with pytest.raises(SystemExit):
+        runner.run_one("median", LARGE_BOOM)
+    assert cache.entry_path(key).exists()
+    del runner.harness.measure
+    report = runner.run_grid(["median"], [LARGE_BOOM])
+    assert report.outcomes[0].quarantined
+    assert report.quarantined_keys == [key]
+    assert cache.verify_entry(key)
+
+
 def test_runner_backoff_is_bounded_and_deterministic():
     sleeps = []
     injector = FaultInjector(FaultSpec(kind=STALL_CORE, seed=1,

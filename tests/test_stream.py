@@ -1,8 +1,8 @@
 """Streaming tier tests: event journal, SSE codec, live job streams.
 
 Pins down the satellite guarantees: SSE event order matches the job
-lifecycle (``queued`` → ``running`` → ``progress``\\* → one terminal
-event), a disconnected client resumes from ``Last-Event-ID`` without
+lifecycle (``queued`` → ``running`` → one terminal event), a
+disconnected client resumes from ``Last-Event-ID`` without
 replaying — and never sees a duplicate terminal event — and the
 non-streaming polling client is completely unaffected by streams
 running next to it.
@@ -119,21 +119,13 @@ def _start():
     return service, server, client
 
 
-def test_stream_order_matches_lifecycle_with_progress_ticks():
+def test_stream_order_matches_lifecycle():
     service, server, client = _start()
     try:
-        receipt = client.submit("vvadd", scale=0.2, config="rocket",
-                                windows=3)
+        receipt = client.submit("vvadd", scale=0.2, config="rocket")
         events = list(client.stream(receipt["id"]))
-        names = [e["event"] for e in events]
-        # queued first, running before any progress, terminal last.
-        assert names[0] == "queued"
-        assert names[1] == "running"
-        assert names[-1] == "done"
-        ticks = [e for e in events if e["event"] == "progress"]
-        assert ticks, "windowed job on a thread executor must tick"
-        assert all(names.index("running") < names.index("progress")
-                   for _ in ticks)
+        # queued first, then running, terminal last.
+        assert [e["event"] for e in events] == ["queued", "running", "done"]
         # Sequence ids are strictly increasing with no gaps.
         assert [e["id"] for e in events] == list(
             range(1, len(events) + 1))
@@ -141,12 +133,10 @@ def test_stream_order_matches_lifecycle_with_progress_ticks():
         # needed after a successful stream.
         final = events[-1]["data"]
         assert final["state"] == "done"
-        assert len(final["result"]["windowed"]["windowed"]["spans"]) == 3
-        assert final["result"]["windowed"]["tma"]["dominant"]
-        # Lifecycle frames are tagged with the canonical routing key
-        # (progress ticks are raw window messages and carry none).
-        assert all(e["data"].get("job_key") for e in events
-                   if e["event"] != "progress")
+        assert final["result"]["tma"]["dominant"]
+        # Every frame is tagged with the canonical routing key.
+        job_key = client.status(receipt["id"])["job_key"]
+        assert all(e["data"].get("job_key") == job_key for e in events)
     finally:
         server.shutdown()
         service.drain()
@@ -210,8 +200,7 @@ def test_polling_client_unaffected_by_concurrent_stream():
     """A poller and a streamer watching the same job both finish clean."""
     service, server, client = _start()
     try:
-        receipt = client.submit("spmv", scale=0.2, config="rocket",
-                                windows=2)
+        receipt = client.submit("spmv", scale=0.2, config="rocket")
         streamed = []
         streamer = threading.Thread(
             target=lambda: streamed.extend(client.stream(receipt["id"])))
@@ -220,7 +209,7 @@ def test_polling_client_unaffected_by_concurrent_stream():
         streamer.join(timeout=60.0)
         assert not streamer.is_alive()
         assert record["state"] == "done"
-        assert record["result"]["windowed"]["tma"]["dominant"]
+        assert record["result"]["tma"]["dominant"]
         assert streamed[-1]["event"] == "done"
         # Poll and stream agree on the result document.
         assert streamed[-1]["data"]["result"] == record["result"]

@@ -24,6 +24,44 @@ def test_fingerprint_stable_within_process():
     assert len(model_fingerprint()) == 16
 
 
+def _copy_packages(root, packages, dest):
+    for package in packages:
+        for source in (root / package).rglob("*.py"):
+            target = dest / source.relative_to(root)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(source.read_bytes())
+    return sorted(dest.rglob("*.py"))
+
+
+@pytest.mark.parametrize("which", ["result", "trace"])
+def test_fingerprints_track_every_module_source(tmp_path, which):
+    from repro.tools.cache import (FINGERPRINT_PACKAGES, PACKAGE_ROOT,
+                                   source_fingerprint)
+    from repro.workloads import trace_cache
+
+    if which == "result":
+        packages, current = FINGERPRINT_PACKAGES, model_fingerprint()
+        named = {"cores/descriptors.py", "cores/rocket/core.py",
+                 "uarch/prefetch.py", "uarch/buffers.py",
+                 "isa/compiler.py", "isa/columnar.py", "isa/dyn_trace.py"}
+    else:
+        packages = trace_cache.FINGERPRINT_PACKAGES
+        current = trace_cache.fingerprint()
+        named = {"isa/dyn_trace.py", "isa/builder.py",
+                 "workloads/registry.py"}
+    copy = tmp_path / "repro"
+    paths = _copy_packages(PACKAGE_ROOT, packages, copy)
+    base = source_fingerprint(copy, packages)
+    assert base == current
+    assert named <= {path.relative_to(copy).as_posix() for path in paths}
+    for path in paths:
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n# edited\n")
+        assert source_fingerprint(copy, packages) != base, path
+        path.write_bytes(original)
+    assert source_fingerprint(copy, packages) == base
+
+
 def test_cache_key_depends_on_inputs():
     a = cache_key("vvadd", 0.3, ROCKET)
     b = cache_key("vvadd", 0.4, ROCKET)
