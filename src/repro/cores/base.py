@@ -9,9 +9,11 @@ cycle (single-source events use bit 0).  This is exactly the wire-level
 view the PMU counter architectures (Fig. 6) and the TracerV-style tracer
 (§IV-C) tap, so the same per-cycle dictionary drives:
 
-- the core's own aggregate event totals (fast path, always on),
+- the core's own aggregate event totals (always on; the columnar
+  production loop accumulates them in place without the dictionary),
 - attached :class:`SignalObserver` instances — counter-architecture
-  hardware models and the cycle tracer (slow path, opt-in).
+  hardware models and the cycle tracer (the per-cycle ``steps`` loop,
+  opt-in).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Mapping, Optional, Protocol
 
+from ..isa.columnar import ColumnarTrace
 from ..isa.errors import RunTimeout
 from ..uarch.branch import PredictorStats
 from ..uarch.cache import CacheConfig, CacheStats, L1D_32K
@@ -29,8 +32,8 @@ from ..uarch.cache import CacheConfig, CacheStats, L1D_32K
 #:
 #: - ``columnar`` (default) — descriptor-compiled cycle loops reading
 #:   the :class:`~repro.isa.columnar.ColumnarTrace` columns directly;
-#: - ``objects``  — the original ``DynInst``-walking loops, kept as the
-#:   bit-identical reference oracle.
+#: - ``objects``  — the ``DynInst``-walking per-cycle ``steps`` loops,
+#:   the bit-identical reference oracle.
 TIMING_ENGINE_ENV = "REPRO_TIMING_ENGINE"
 
 #: Valid values for :data:`TIMING_ENGINE_ENV` / ``engine=`` arguments.
@@ -120,6 +123,21 @@ def run_steps(steps: CoreSteps) -> "CoreResult":
             next(steps)
     except StopIteration as done:
         return done.value
+
+
+def runs_columnar(core, trace, engine: Optional[str]) -> bool:
+    """Whether ``core.run`` takes its columnar loop, not ``core.steps``.
+
+    The columnar loop keeps no per-cycle record, so it runs only when
+    nothing needs one (no observer, no fault hook), the trace has
+    columns (a ``ColumnarTrace``) and the timing engine is
+    ``columnar`` (*engine* ``None`` defers to ``REPRO_TIMING_ENGINE``,
+    default ``columnar``).  Every other run takes the per-cycle
+    ``steps`` oracle.  An unknown *engine* raises ``ValueError``.
+    """
+    return (resolve_timing_engine(engine) == "columnar"
+            and not core.observers and core.fault_hook is None
+            and isinstance(trace, ColumnarTrace))
 
 
 @dataclass(frozen=True)

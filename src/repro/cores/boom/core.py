@@ -33,7 +33,7 @@ from ...uarch.prefetch import StridePrefetcher
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (BoomConfig, CoreFaultHook, CoreResult, CoreSteps,
                     EventAccumulator, SignalObserver, check_cycle_budget,
-                    check_run_completed, resolve_timing_engine, run_steps)
+                    check_run_completed, run_steps, runs_columnar)
 from ..configs import LARGE_BOOM
 from ..descriptors import build_boom_table
 
@@ -145,7 +145,6 @@ class BoomCore:
 
     def run(self, trace: DynamicTrace,
             max_cycles: Optional[int] = None,
-            fast_path: Optional[bool] = None,
             engine: Optional[str] = None) -> CoreResult:
         """Replay *trace* and return per-event totals.
 
@@ -153,33 +152,15 @@ class BoomCore:
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
         until the internal safety stop silently truncates the run.
 
-        *fast_path* (default auto, like
-        :meth:`repro.cores.rocket.RocketCore.run`) reuses one signal
-        dictionary across cycles instead of allocating a fresh per-cycle
-        record when no observer or fault hook needs to retain it; the
-        results are bit-identical either way.
-
-        *engine* selects the timing-engine implementation on the fast
-        path (``None`` defers to ``REPRO_TIMING_ENGINE``, default
-        ``columnar``): the columnar engine runs the slab-allocated
-        descriptor loop over the trace columns, the ``objects`` engine
-        walks materialized ``DynInst``/``_Uop`` records.  Both engines
-        are bit-identical (``tests/test_timing_engine.py``); a
-        ``DynamicTrace`` input always uses the object engine.
+        The slab-allocated columnar loop runs when
+        :func:`~repro.cores.base.runs_columnar` allows it, else the
+        ``DynInst``/``_Uop``-walking :meth:`steps` oracle; both are
+        bit-identical (``tests/test_timing_engine.py``).
         """
-        traceless = not self.observers and self.fault_hook is None
-        engine = resolve_timing_engine(engine)
-        if fast_path is None:
-            fast_path = traceless
-        elif fast_path and not traceless:
-            raise ValueError(
-                "fast_path=True reuses the per-cycle signal record, but "
-                "an observer or fault hook is attached and retains it")
         self.reset_run_state()
-        if fast_path and engine == "columnar" \
-                and isinstance(trace, ColumnarTrace):
+        if runs_columnar(self, trace, engine):
             return self._run_columnar(trace, max_cycles)
-        return self._run_objects(trace, max_cycles, fast_path)
+        return run_steps(self.steps(trace, max_cycles))
 
     def reset_run_state(self) -> None:
         """Clear every field :meth:`run` treats as per-run scratch.
@@ -200,27 +181,17 @@ class BoomCore:
         self._trained_loads.clear()
         self._stq = []
 
-    def _run_objects(self, trace: DynamicTrace, max_cycles: Optional[int],
-                     fast_path: bool) -> CoreResult:
-        """The ``DynInst``/``_Uop``-walking loop (the reference oracle)."""
-        return run_steps(self.steps(trace, max_cycles, fast_path))
-
-    def steps(self, trace: DynamicTrace, max_cycles: Optional[int] = None,
-              fast_path: Optional[bool] = None) -> CoreSteps:
-        """The object loop as a generator, one ``yield`` per cycle.
+    def steps(self, trace: DynamicTrace,
+              max_cycles: Optional[int] = None) -> CoreSteps:
+        """The per-cycle oracle loop, one ``yield`` per cycle.
 
         Each ``next()`` simulates one cycle and parks at the top of the
         following one; the first ``next()`` runs the set-up and parks at
         the top of cycle 0.  The generator returns the
-        :class:`CoreResult`.  :meth:`_run_objects` drives it straight to
-        the end; the multicore harness interleaves several cores' steps
-        over one shared uncore.  The caller resets per-run state first.
-
-        *fast_path* reuses one per-cycle signal record; ``None`` reuses
-        it exactly when no observer could retain it.
+        :class:`CoreResult`.  :meth:`run` drives it straight to the end;
+        the multicore harness interleaves several cores' steps over one
+        shared uncore.  The caller resets per-run state first.
         """
-        if fast_path is None:
-            fast_path = not self.observers
         config = self.config
         w_c = config.decode_width
         issue_ports = (config.issue_int, config.issue_mem, config.issue_fp)
@@ -262,9 +233,6 @@ class BoomCore:
         accumulator_add = accumulator.add
         mshr_refill_in_flight = self.l1d.mshrs.refill_in_flight
         rob_capacity = config.rob_entries
-        #: Fast path: one reused record, cleared per cycle; traced path
-        #: allocates per cycle because observers may retain the mapping.
-        reused_signals: Dict[str, int] = {}
 
         while retired < total and cycle < safety_limit:
             if cycle >= budget:
@@ -276,12 +244,7 @@ class BoomCore:
                 # Injected stall: the whole core freezes this cycle.
                 cycle += 1
                 continue
-            if fast_path:
-                signals = reused_signals
-                signals.clear()
-                signals["cycles"] = 1
-            else:
-                signals = {"cycles": 1}
+            signals: Dict[str, int] = {"cycles": 1}
 
             # ---------------- commit ----------------------------------
             commit_lanes = 0
@@ -508,7 +471,7 @@ class BoomCore:
                       max_cycles: Optional[int]) -> CoreResult:
         """The object loop re-expressed over columns and a µop slab.
 
-        Identical pipeline model to :meth:`_run_objects`, restructured
+        Identical pipeline model to :meth:`steps`, restructured
         for throughput:
 
         - static facts come from the :class:`~repro.cores.descriptors
@@ -529,7 +492,7 @@ class BoomCore:
           ``EventAccumulator``-shaped totals and lane lists are rebuilt
           once after the run.
 
-        Bit-identity with the object engine across the registry is
+        Bit-identity with the :meth:`steps` oracle across the registry is
         pinned by ``tests/test_timing_engine.py``.
         """
         config = self.config

@@ -16,17 +16,17 @@ in :mod:`repro.cores.base`; the Rocket rows of Table I plus the two raw
 handshake taps ``ibuf_valid``/``ibuf_ready`` (which the paper adds to the
 trace, not the PMU) are all produced here.
 
-Two execution paths produce bit-identical results (docs/performance.md):
+Two loops produce bit-identical results (docs/performance.md):
 
-- the *traced* path materializes the per-cycle signal dictionary and
-  feeds it to attached :class:`SignalObserver` instances — required by
-  the PMU counter models and the cycle tracer.  It is a per-cycle
-  generator (:meth:`RocketCore.steps`), so the multicore harness can
-  step several cores in lockstep on one thread;
-- the *fast* path (used automatically when no observer or fault hook is
-  attached, forceable via ``run(..., fast_path=...)``) skips the
-  per-cycle record allocation entirely and accumulates event totals
-  in place, which roughly halves single-run wall-clock time.
+- the *columnar* production loop (:meth:`RocketCore._run_columnar`)
+  reads the trace columns through a descriptor table compiled once per
+  trace and accumulates event totals in place, with no per-cycle
+  record;
+- the per-cycle :meth:`RocketCore.steps` generator walks materialized
+  ``DynInst`` records and builds the per-cycle signal dictionary.  It
+  is the oracle, the path for attached :class:`SignalObserver`
+  instances (PMU counter models, cycle tracer) and fault hooks, and
+  the form the multicore harness steps in lockstep on one thread.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from ...uarch.cache import Cache, MemorySystem
 from ...uarch.tlb import L2_TLB_HIT_LATENCY, PTW_LATENCY, TlbHierarchy
 from ..base import (CoreFaultHook, CoreResult, CoreSteps, EventAccumulator,
                     RocketConfig, SignalObserver, check_cycle_budget,
-                    check_run_completed, resolve_timing_engine, run_steps)
+                    check_run_completed, run_steps, runs_columnar)
 from ..descriptors import build_rocket_table
 
 _SAFETY_CYCLES_PER_INST = 400
@@ -57,14 +57,10 @@ _CLASS_SIGNAL = {
     InstrClass.SYSTEM: "system", InstrClass.CSR: "system",
 }
 
-#: Total mapping (no ``.get`` default needed in the hot loop).
-_CLASS_SIGNAL_FULL = {cls: _CLASS_SIGNAL.get(cls, "arith")
-                      for cls in InstrClass}
-
-#: Every event name the fast path can assert, pre-seeded to zero so the
-#: hot loop is a bare ``totals[name] += 1`` (zero entries are stripped
-#: before the result is built, matching the traced accumulator).
-_FAST_EVENT_NAMES = (
+#: Every event name the columnar loop can assert, pre-seeded to zero so
+#: the hot loop is a bare ``totals[name] += 1`` (zero entries are
+#: stripped before the result is built, matching the steps accumulator).
+_COLUMNAR_EVENT_NAMES = (
     "cycles", "csr_interlock", "dcache_blocked", "muldiv_interlock",
     "load_use_interlock", "long_latency_interlock", "instr_issued",
     "instr_retired", "load", "store", "atomic", "branch", "fence",
@@ -110,7 +106,6 @@ class RocketCore:
 
     def run(self, trace: DynamicTrace,
             max_cycles: Optional[int] = None,
-            fast_path: Optional[bool] = None,
             engine: Optional[str] = None) -> CoreResult:
         """Replay *trace* and return per-event totals.
 
@@ -118,35 +113,15 @@ class RocketCore:
         raises :class:`~repro.isa.errors.RunTimeout` instead of spinning
         until the internal safety stop silently truncates the run.
 
-        *fast_path* selects the execution path: ``None`` (default) picks
-        the fast accumulate-in-place loop exactly when no observer and
-        no fault hook is attached, ``False`` forces the traced loop, and
-        ``True`` forces the fast loop (an error when an observer or
-        fault hook needs the per-cycle records it skips).  Both paths
-        produce bit-identical :class:`CoreResult` values.
-
-        *engine* selects the timing-engine implementation on the fast
-        path (``None`` defers to ``REPRO_TIMING_ENGINE``, default
-        ``columnar``): the columnar engine reads the trace columns
-        through a compiled descriptor table, the ``objects`` engine
-        walks materialized ``DynInst`` records.  Both engines are
-        bit-identical (``tests/test_timing_engine.py``); a
-        ``DynamicTrace`` input always uses the object engine.
+        The columnar loop runs when
+        :func:`~repro.cores.base.runs_columnar` allows it, else the
+        per-cycle :meth:`steps` oracle; both are bit-identical
+        (``tests/test_timing_engine.py``).
         """
-        traceless = not self.observers and self.fault_hook is None
-        engine = resolve_timing_engine(engine)
-        if fast_path is None:
-            fast_path = traceless
-        elif fast_path and not traceless:
-            raise ValueError(
-                "fast_path=True skips per-cycle signal records, but an "
-                "observer or fault hook is attached and needs them")
         self.reset_run_state()
-        if fast_path:
-            if engine == "columnar" and isinstance(trace, ColumnarTrace):
-                return self._run_columnar(trace, max_cycles)
-            return self._run_fast(trace, max_cycles)
-        return self._run_traced(trace, max_cycles)
+        if runs_columnar(self, trace, engine):
+            return self._run_columnar(trace, max_cycles)
+        return run_steps(self.steps(trace, max_cycles))
 
     def reset_run_state(self) -> None:
         """Clear per-run scratch state (audited batch-path contract).
@@ -161,23 +136,19 @@ class RocketCore:
         """
 
     # ------------------------------------------------------------------
-    # traced path: per-cycle signal dictionaries, observers, fault hooks
+    # steps oracle: per-cycle signal dictionaries, observers, fault hooks
     # ------------------------------------------------------------------
-
-    def _run_traced(self, trace: DynamicTrace,
-                    max_cycles: Optional[int]) -> CoreResult:
-        return run_steps(self.steps(trace, max_cycles))
 
     def steps(self, trace: DynamicTrace,
               max_cycles: Optional[int] = None) -> CoreSteps:
-        """The traced loop as a generator, one ``yield`` per cycle.
+        """The per-cycle oracle loop, one ``yield`` per cycle.
 
         Each ``next()`` simulates one cycle and parks at the top of the
         following one; the first ``next()`` runs the set-up and parks at
         the top of cycle 0.  The generator returns the
-        :class:`CoreResult`.  :meth:`_run_traced` drives it straight to
-        the end; the multicore harness interleaves several cores' steps
-        over one shared uncore.  The caller resets per-run state first.
+        :class:`CoreResult`.  :meth:`run` drives it straight to the end;
+        the multicore harness interleaves several cores' steps over one
+        shared uncore.  The caller resets per-run state first.
         """
         config = self.config
         accumulator = EventAccumulator()
@@ -336,326 +307,20 @@ class RocketCore:
             predictor_stats=self.predictor.stats)
 
     # ------------------------------------------------------------------
-    # fast path: no per-cycle records, totals accumulated in place
-    # ------------------------------------------------------------------
-
-    def _run_fast(self, trace: DynamicTrace,
-                  max_cycles: Optional[int]) -> CoreResult:
-        """The traced loop with the per-cycle signal dictionary, the
-        accumulator call, and the helper-method dispatch flattened away.
-
-        The model itself is identical — ``tests/test_core_fastpath.py``
-        pins both paths to bit-identical results over the whole suite.
-        Signals that two pipeline stages may assert in the same cycle
-        (``l2_tlb_miss``, ``recovering``) are deduplicated with per-cycle
-        flags, exactly as the shared per-cycle dictionary did.
-        """
-        config = self.config
-        total = len(trace)
-        instructions = trace.instructions
-
-        ibuf: Deque[_FetchedInst] = deque()
-        ibuf_popleft = ibuf.popleft
-        ibuf_append = ibuf.append
-        ibuf_clear = ibuf.clear
-        ibuf_capacity = config.ibuf_entries
-
-        totals: Dict[str, int] = dict.fromkeys(_FAST_EVENT_NAMES, 0)
-
-        fetch_idx = 0
-        retired = 0
-        cycle = 0
-        safety_limit = total * _SAFETY_CYCLES_PER_INST + 10_000
-        budget = safety_limit + 1 if max_cycles is None else max_cycles
-
-        reg_ready = [0] * 64
-        reg_producer = [""] * 64
-
-        fetch_resume_at = 0
-        icache_refill_until = 0
-        recovering = False
-        recovering_from = 0
-        dcache_busy_until = 0
-        div_busy_until = 0
-        serialize_until = 0
-
-        # Hot-loop local bindings (attribute lookups hoisted).
-        l1i = self.l1i
-        l1i_access = l1i.access
-        # Block compare via the config-derived shift instead of two
-        # ``block_address`` calls per fetched instruction.
-        block_shift = l1i.config.block_bytes.bit_length() - 1
-        l1d_access = self.l1d.access
-        tlbs = self.tlbs
-        # The TlbHierarchy._access chain is flattened: L1 TLB probe,
-        # then L2 probe on a miss (hit: short refill, miss: full walk).
-        itlb_probe = tlbs.itlb.access
-        dtlb_probe = tlbs.dtlb.access
-        l2tlb_probe = tlbs.l2.access
-        predictor = self.predictor
-        predict_branch = predictor.predict_branch
-        resolve_branch = predictor.resolve_branch
-        predict_indirect = predictor.predict_indirect
-        resolve_indirect = predictor.resolve_indirect
-        ras_push = predictor.ras.push
-        fetch_width = config.fetch_width
-        redirect_latency = config.redirect_latency
-        class_signal = _CLASS_SIGNAL_FULL
-        DIV = InstrClass.DIV
-        MUL = InstrClass.MUL
-        CSR = InstrClass.CSR
-        FP = InstrClass.FP
-        FP_DIV = InstrClass.FP_DIV
-        JUMP = InstrClass.JUMP
-        JUMP_REG = InstrClass.JUMP_REG
-
-        while retired < total and cycle < safety_limit:
-            if cycle >= budget:
-                check_cycle_budget(cycle, max_cycles,
-                                   workload=trace.program_name,
-                                   retired=retired, total=total)
-            issued_this_cycle = False
-            l2_tlb_counted = False
-            recovering_counted = False
-
-            # ---------------- execute / retire ------------------------
-            if ibuf:
-                entry = ibuf[0]
-                inst = entry.inst
-                cls = inst.cls
-                stall = False
-
-                if serialize_until > cycle:
-                    stall = True
-                    totals["csr_interlock"] += 1
-                if not stall and inst.is_mem and dcache_busy_until > cycle:
-                    stall = True
-                    totals["dcache_blocked"] += 1
-                if not stall and cls is DIV and div_busy_until > cycle:
-                    stall = True
-                    totals["muldiv_interlock"] += 1
-                if not stall:
-                    for src in inst.srcs:
-                        if reg_ready[src] > cycle:
-                            stall = True
-                            producer = reg_producer[src]
-                            if producer == "load":
-                                if reg_ready[src] - cycle > 4:
-                                    totals["dcache_blocked"] += 1
-                                    totals["long_latency_interlock"] += 1
-                                else:
-                                    totals["load_use_interlock"] += 1
-                            elif producer in ("mul", "div"):
-                                totals["muldiv_interlock"] += 1
-                            else:
-                                totals["long_latency_interlock"] += 1
-                            break
-
-                if not stall:
-                    ibuf_popleft()
-                    issued_this_cycle = True
-                    retired += 1
-                    totals[class_signal[cls]] += 1
-
-                    # ---- inlined _execute ----------------------------
-                    dcache_refill_until = 0
-                    redirect = None
-                    dest = inst.dest
-                    if inst.is_mem:
-                        if dtlb_probe(inst.mem_addr):
-                            tlb_extra = 0
-                        else:
-                            totals["dtlb_miss"] += 1
-                            if l2tlb_probe(inst.mem_addr):
-                                tlb_extra = L2_TLB_HIT_LATENCY
-                            else:
-                                tlb_extra = PTW_LATENCY
-                                totals["l2_tlb_miss"] += 1
-                                l2_tlb_counted = True
-                        hit, latency = l1d_access(inst.mem_addr,
-                                                  inst.is_store, cycle)
-                        latency += tlb_extra
-                        if not hit:
-                            totals["dcache_miss"] += 1
-                            dcache_refill_until = cycle + latency
-                        if dest >= 0:
-                            reg_ready[dest] = cycle + latency
-                            reg_producer[dest] = "load"
-                    elif cls is MUL:
-                        if dest >= 0:
-                            reg_ready[dest] = cycle + inst.latency
-                            reg_producer[dest] = "mul"
-                    elif cls is DIV:
-                        if dest >= 0:
-                            reg_ready[dest] = cycle + inst.latency
-                            reg_producer[dest] = "div"
-                    elif cls is FP or cls is FP_DIV:
-                        if dest >= 0:
-                            reg_ready[dest] = cycle + inst.latency
-                            reg_producer[dest] = "fp"
-                    elif inst.is_branch:
-                        totals["branch_resolved"] += 1
-                        prediction = entry.prediction
-                        if resolve_branch(inst.pc, inst.taken,
-                                          inst.next_pc, prediction):
-                            if prediction is not None \
-                                    and prediction.taken == inst.taken:
-                                totals["cf_target_mispredict"] += 1
-                            else:
-                                totals["cobr_mispredict"] += 1
-                            redirect = cycle + redirect_latency
-                    elif cls is JUMP_REG:
-                        if resolve_indirect(inst.pc, inst.next_pc,
-                                            entry.indirect_prediction):
-                            totals["cf_target_mispredict"] += 1
-                            redirect = cycle + redirect_latency
-                    elif dest >= 0:
-                        reg_ready[dest] = cycle + inst.latency
-                        reg_producer[dest] = "alu"
-                    # ---- end inlined _execute ------------------------
-
-                    if redirect is not None:
-                        ibuf_clear()
-                        fetch_idx = inst.index + 1
-                        fetch_resume_at = redirect
-                        recovering = True
-                        recovering_from = cycle + 1
-                    if cls is DIV:
-                        div_busy_until = cycle + inst.latency
-                    elif cls is CSR:
-                        serialize_until = cycle + 2
-                    elif inst.is_fence:
-                        serialize_until = cycle + 3
-                        if inst.mnemonic == "fence.i":
-                            l1i.flush()
-                    elif inst.is_mem:
-                        dcache_busy_until = max(dcache_busy_until,
-                                                dcache_refill_until)
-            else:
-                backend_ready = (serialize_until <= cycle
-                                 and dcache_busy_until <= cycle)
-                if recovering and cycle >= recovering_from:
-                    totals["recovering"] += 1
-                    recovering_counted = True
-                elif backend_ready and not recovering:
-                    totals["fetch_bubbles"] += 1
-                elif dcache_busy_until > cycle:
-                    totals["dcache_blocked"] += 1
-
-            # ---------------- fetch -----------------------------------
-            if icache_refill_until > cycle and not ibuf:
-                totals["icache_blocked"] += 1
-
-            fetched_any = False
-            if (fetch_idx < total and cycle >= fetch_resume_at
-                    and len(ibuf) < ibuf_capacity):
-                # ---- inlined _fetch ----------------------------------
-                pc = instructions[fetch_idx].pc
-                if itlb_probe(pc):
-                    tlb_extra = 0
-                else:
-                    totals["itlb_miss"] += 1
-                    if l2tlb_probe(pc):
-                        tlb_extra = L2_TLB_HIT_LATENCY
-                    else:
-                        tlb_extra = PTW_LATENCY
-                        if not l2_tlb_counted:
-                            totals["l2_tlb_miss"] += 1
-                hit, latency = l1i_access(pc, False, cycle)
-                latency += tlb_extra
-                if not hit or tlb_extra:
-                    if not hit:
-                        totals["icache_miss"] += 1
-                    # Frontend blocks until the refill/walk completes.
-                    fetch_resume_at = cycle + latency
-                    icache_refill_until = cycle + latency
-                else:
-                    block = pc >> block_shift
-                    fetched = 0
-                    idx = fetch_idx
-                    prev_pc = None
-                    resume_at = cycle + 1
-                    while (idx < total and fetched < fetch_width
-                           and len(ibuf) < ibuf_capacity):
-                        inst = instructions[idx]
-                        pc = inst.pc
-                        if prev_pc is not None and pc != prev_pc + 4:
-                            break
-                        if pc >> block_shift != block:
-                            break
-                        prediction = None
-                        indirect = None
-                        if inst.is_branch:
-                            prediction = predict_branch(pc)
-                        elif inst.cls is JUMP:
-                            if inst.dest == 1:
-                                ras_push(pc + 4)
-                        elif inst.cls is JUMP_REG:
-                            is_return = (inst.dest < 0
-                                         and inst.srcs == (1,))
-                            indirect = predict_indirect(
-                                pc, is_return=is_return)
-                        ibuf_append(_FetchedInst(inst, prediction, indirect))
-                        fetched += 1
-                        prev_pc = pc
-                        idx += 1
-                        if inst.is_control_flow and inst.taken:
-                            # Taken redirect from the fetch-data stage.
-                            resume_at = cycle + 2
-                            break
-                    fetch_resume_at = resume_at
-                    if fetched:
-                        fetched_any = True
-                        fetch_idx = idx
-                # ---- end inlined _fetch ------------------------------
-            if recovering:
-                if fetched_any:
-                    recovering = False
-                elif cycle >= recovering_from and not recovering_counted:
-                    totals["recovering"] += 1
-
-            # Raw handshake taps for the motivating example (Fig. 3).
-            if ibuf:
-                totals["ibuf_valid"] += 1
-            if not issued_this_cycle and serialize_until <= cycle \
-                    and dcache_busy_until <= cycle:
-                totals["ibuf_ready"] += 1
-
-            cycle += 1
-
-        check_run_completed(retired, total, cycle, max_cycles,
-                            workload=trace.program_name)
-        totals["cycles"] = cycle
-        # Single-issue Rocket asserts instr_issued/instr_retired together
-        # on exactly the retire cycles, so both equal the retire count —
-        # batched here instead of two dict increments per issue cycle.
-        totals["instr_issued"] = retired
-        totals["instr_retired"] = retired
-        events = {name: count for name, count in totals.items() if count}
-        return CoreResult(
-            workload=trace.program_name, config_name=self.config.name,
-            core="rocket", cycles=cycle, instret=retired,
-            events=events, lane_events={},
-            commit_width=1, issue_width=1,
-            l1i_stats=self.l1i.stats, l1d_stats=self.l1d.stats,
-            l2_stats=self.memory.l2.stats,
-            predictor_stats=self.predictor.stats)
-
-    # ------------------------------------------------------------------
     # columnar engine: descriptor table + trace columns, no DynInst
     # ------------------------------------------------------------------
 
     def _run_columnar(self, trace: ColumnarTrace,
                       max_cycles: Optional[int]) -> CoreResult:
-        """The fast loop re-expressed over trace columns.
+        """The production loop: the :meth:`steps` model over trace columns.
 
-        Identical pipeline model to :meth:`_run_fast`, but every static
+        Identical pipeline model to :meth:`steps`, but every static
         fact comes from the :class:`~repro.cores.descriptors
         .RocketOpTable` compiled once per trace, and every dynamic fact
         from the flat trace columns — no ``DynInst`` list is ever
         materialized.  Instruction-buffer entries are plain
         ``(dyn_index, static_index, prediction, indirect)`` tuples.
-        Bit-identity with the object engine is pinned by
+        Bit-identity with the :meth:`steps` oracle is pinned by
         ``tests/test_timing_engine.py``.
         """
         config = self.config
@@ -693,7 +358,7 @@ class RocketCore:
         ibuf_clear = ibuf.clear
         ibuf_capacity = config.ibuf_entries
 
-        totals: Dict[str, int] = dict.fromkeys(_FAST_EVENT_NAMES, 0)
+        totals: Dict[str, int] = dict.fromkeys(_COLUMNAR_EVENT_NAMES, 0)
 
         fetch_idx = 0
         retired = 0

@@ -28,7 +28,7 @@ bit-identical across the full workload registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .columnar import ColumnarTrace, StaticOp
 from .errors import ExecutionError

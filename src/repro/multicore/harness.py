@@ -15,12 +15,12 @@ Two execution paths:
   single core through the full uncore + lockstep stack, which the
   equivalence tests use to pin the shared path itself against the solo
   oracle.
-- **Multiple active cores**: every core's traced per-cycle loop (pinned
-  bit-identical to the fast engines by the tier-1 suite) runs as a
-  generator, ``core.steps``, that parks at the top of each cycle.  One
-  plain loop on the calling thread advances every running core by one
-  cycle in the cycle's arbitration order, so the shared uncore sees a
-  fixed global (cycle, arbitration) order and repeated runs are
+- **Multiple active cores**: every core's per-cycle oracle loop
+  (pinned bit-identical to the columnar loop by the tier-1 suite) runs
+  as a generator, ``core.steps``, that parks at the top of each cycle.
+  One plain loop on the calling thread advances every running core by
+  one cycle in the cycle's arbitration order, so the shared uncore sees
+  a fixed global (cycle, arbitration) order and repeated runs are
   identical.
 """
 
@@ -326,7 +326,7 @@ def run_scenario_payload(scenario: Union[str, Scenario], *,
     """Resolve overrides, run (or serve from disk), return the payload.
 
     The timing engines are bit-identical (the lockstep path always uses
-    the traced loop), so — like the CoreResult cache — the key does not
+    the ``steps`` oracle), so — like the CoreResult cache — the key does not
     include *engine*.
     """
     if isinstance(scenario, str):

@@ -61,9 +61,21 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_unknown_workloads(names: List[str]) -> bool:
+    """Print a one-line error and return True if a name is unregistered."""
+    known = set(workload_names())
+    for name in names:
+        if name not in known:
+            print(f"unknown workload {name!r}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_tma(args: argparse.Namespace) -> int:
     from .tma_tool import run_core
 
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     config = config_by_name(args.config)
     core_result = run_core(args.workload, config, scale=args.scale,
                            use_cache=not args.no_cache,
@@ -199,11 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.workloads:
         names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        known = set(workload_names())
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            print(f"unknown workload(s): {', '.join(unknown)}",
-                  file=sys.stderr)
+        if _reject_unknown_workloads(names):
             return 2
     else:
         names = workload_names(args.category)
@@ -346,6 +354,8 @@ def _cmd_multicore(args: argparse.Namespace) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     trace = build_trace(args.workload, scale=args.scale)
     histogram = trace.class_histogram()
     total = len(trace)
@@ -361,6 +371,8 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     config = config_by_name(args.config)
     core = make_core(config)
     if isinstance(config, RocketConfig):
@@ -436,6 +448,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     config = config_by_name(args.config)
     harness = PerfHarness(core=config.core,
                           increment_mode=args.counter_arch,
@@ -454,64 +468,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.show_tma:
         print()
         print(render_result(compute_tma(measurement)))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            payload = bench.run_benchmarks(
-                quick=args.quick, workers=args.workers,
-                inject_slowdown=args.inject_slowdown)
-        finally:
-            profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        print(f"--- top {args.profile_top} cumulative hotspots ---")
-        stats.print_stats(args.profile_top)
-        if args.profile_output:
-            with open(args.profile_output, "w", encoding="utf-8") as handle:
-                pstats.Stats(profiler, stream=handle) \
-                    .sort_stats("cumulative") \
-                    .print_stats(args.profile_top)
-            print(f"wrote {args.profile_output}")
-    else:
-        payload = bench.run_benchmarks(
-            quick=args.quick, workers=args.workers,
-            inject_slowdown=args.inject_slowdown)
-    print(bench.render_payload(payload))
-    bench.write_payload(payload, args.output)
-    print(f"wrote {args.output}")
-
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        baseline_path = bench.find_baseline(args.output)
-    if not baseline_path or baseline_path == "none":
-        print("no baseline BENCH_*.json; gate skipped")
-        return 0
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    problems = bench.compare_benchmarks(payload, baseline,
-                                        threshold=args.threshold,
-                                        timing=not args.profile)
-    if problems:
-        print(f"REGRESSION vs {baseline_path}:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.profile:
-        print(f"gate vs {baseline_path}: identity checks passed; "
-              "timing ratios skipped (profiler overhead distorts them)")
-    else:
-        print(f"gate passed vs {baseline_path} "
-              f"(threshold {args.threshold:.0%})")
     return 0
 
 
@@ -696,19 +652,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_reliability(args: argparse.Namespace) -> int:
     from ..reliability import run_campaign
 
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     config = config_by_name(args.config)
     report = run_campaign(seed=args.seed, faults=args.faults,
                           workload=args.workload, config=config,
                           scale=args.scale, max_cycles=args.max_cycles)
     print(report.render())
     return 0 if report.passed else 1
-
-
-def bench_default_output() -> str:
-    """The bench snapshot filename for this PR (see ``tools.bench``)."""
-    from .bench import DEFAULT_OUTPUT
-
-    return DEFAULT_OUTPUT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -846,34 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_perf)
     _add_timing_engine(p_perf)
     p_perf.set_defaults(func=_cmd_perf)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="tier-2 benchmark set + BENCH_*.json regression gate")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-sized subset of the tier-2 set")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="sweep workers (default min(4, cpus))")
-    p_bench.add_argument("--threshold", type=float, default=0.20,
-                         help="allowed fractional regression on gated "
-                              "ratio metrics")
-    p_bench.add_argument("--output", default=bench_default_output(),
-                         help="snapshot to write")
-    p_bench.add_argument("--baseline", default="auto",
-                         help="baseline BENCH_*.json ('auto' picks the "
-                              "newest committed one, 'none' skips)")
-    p_bench.add_argument("--inject-slowdown", type=float, default=0.0,
-                         help="artificial per-run slowdown fraction "
-                              "(gate self-test)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="wrap the run in cProfile and print the "
-                              "top cumulative hotspots")
-    p_bench.add_argument("--profile-top", type=int, default=25,
-                         help="hotspot rows to print with --profile")
-    p_bench.add_argument("--profile-output", default="BENCH_PROFILE.txt",
-                         help="also write the profile table here "
-                              "('' to skip)")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_cache = sub.add_parser(
         "cache", help="result-cache size report and LRU pruning")

@@ -27,9 +27,9 @@ import time
 import pytest
 
 from repro.cores import LARGE_BOOM, ROCKET, SMALL_BOOM
-from repro.cores.batch import (DEFAULT_GRID, GridPoint, canonical_grid_key,
-                               make_core, parse_grid, point_from_key,
-                               resolve_config_spec, run_batch)
+from repro.cores.batch import (DEFAULT_GRID, canonical_grid_key, parse_grid,
+                               point_from_key, resolve_config_spec,
+                               run_batch)
 from repro.cores.boom import BoomCore
 from repro.cores.rocket import RocketCore
 from repro.tools.checkpoint import SweepCheckpoint, point_key
@@ -78,7 +78,11 @@ def test_batch_matches_single_config_oracle(workload):
             result_digest(oracle), point.key
 
 
-def test_batch_shares_tables_and_folds_on_columnar():
+def test_batch_shares_tables_and_folds_on_columnar(monkeypatch):
+    # Only compiled traces carry descriptor tables; pin the executor so
+    # an outer REPRO_EXEC_ENGINE=interpreted run still batches the trace
+    # this test inspects.
+    monkeypatch.setenv("REPRO_EXEC_ENGINE", "compiled")
     trace = build_trace("towers", scale=SCALE, engine="compiled")
     assert hasattr(trace, "timing_table")
     batch = run_batch("towers", GRID, scale=SCALE, use_cache=False,

@@ -229,6 +229,33 @@ def test_windowed_and_huge_surfaces_are_gone(capsys):
     capsys.readouterr()
 
 
+def test_bench_and_fast_path_surfaces_are_gone(capsys):
+    from repro.cores.rocket import RocketCore
+    from repro.workloads import build_trace
+
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["bench", "--quick"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(TypeError):
+        RocketCore().run(build_trace("vvadd", scale=0.1), fast_path=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tma", "--workload", "nosuch", "--scale", "0.1"),
+    ("sweep", "--workloads", "vvadd,nosuch", "--scale", "0.1"),
+    ("mix", "--workload", "nosuch"),
+    ("trace", "--workload", "nosuch", "--config", "rocket"),
+    ("perf", "--workload", "nosuch", "--scale", "0.1"),
+    ("reliability", "--workload", "nosuch", "--faults", "1"),
+], ids=lambda argv: argv[0])
+def test_unknown_workload_exits_cleanly(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "unknown workload 'nosuch'\n"
+    assert out == ""
+
+
 def test_submit_unreachable_server(capsys):
     code, _, err = run_cli(capsys, "submit", "--url",
                            "http://127.0.0.1:9", "--workload", "vvadd",

@@ -93,14 +93,33 @@ def test_getitem_slice_has_list_semantics(trace):
     assert [i.pc for i in fresh[2:10]] == [i.pc for i in expect]
 
 
+class _CycleCounter:
+    def __init__(self):
+        self.cycles = 0
+
+    def on_cycle(self, cycle, signals):
+        self.cycles += 1
+
+
 @pytest.mark.parametrize("config_name", ["rocket", "small-boom"])
-@pytest.mark.parametrize("fast_path", [False, True])
-def test_cores_accept_columnar_traces(config_name, fast_path):
+@pytest.mark.parametrize("observed", [False, True])
+def test_cores_accept_columnar_traces(config_name, observed):
+    """Both trace forms give one result, with or without an observer.
+
+    Unobserved, a ``ColumnarTrace`` runs the columnar loop and a
+    ``DynamicTrace`` the ``steps`` oracle; observed, both run ``steps``.
+    """
     program = build_program("median")
-    interpreted = execute(program)
-    columnar = execute_compiled(program)
     config = config_by_name(config_name)
-    baseline = make_core(config).run(interpreted, fast_path=fast_path)
-    result = make_core(config).run(columnar, fast_path=fast_path)
+
+    def run(trace):
+        core = make_core(config)
+        if observed:
+            core.add_observer(_CycleCounter())
+        return core.run(trace)
+
+    baseline = run(execute(program))
+    result = run(execute_compiled(program))
     assert result.cycles == baseline.cycles
     assert result.instret == baseline.instret
+    assert result.events == baseline.events

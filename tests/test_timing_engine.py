@@ -100,13 +100,40 @@ def test_default_engine_is_columnar(monkeypatch):
 @pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
                          ids=lambda c: c.name)
 def test_dynamic_trace_falls_back_to_objects(config):
-    """A ``DynamicTrace`` input runs (via the object engine) either way."""
+    """A ``DynamicTrace`` input runs the ``steps`` oracle on any engine.
+
+    Only a ``ColumnarTrace`` can feed the columnar loop, so asking for
+    it with a ``DynamicTrace`` still gives the columnar loop's result.
+    """
     columnar_trace = build_trace("median", scale=SCALE, engine="compiled")
     dynamic_trace = execute(build_program("median", scale=SCALE))
     assert not isinstance(dynamic_trace, ColumnarTrace)
-    reference = make_core(config).run(columnar_trace, engine="objects")
+    reference = make_core(config).run(columnar_trace, engine="columnar")
     via_dynamic = make_core(config).run(dynamic_trace, engine="columnar")
     assert result_digest(via_dynamic) == result_digest(reference)
+
+
+@pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
+                         ids=lambda c: c.name)
+def test_observer_sees_every_cycle(config):
+    """An attached observer moves the run onto ``steps``: it sees every
+    cycle, and the events equal the unobserved columnar run's."""
+
+    class Recorder:
+        def __init__(self):
+            self.cycles = 0
+
+        def on_cycle(self, cycle, signals):
+            self.cycles += 1
+
+    trace = build_trace("median", scale=SCALE, engine="compiled")
+    default = make_core(config).run(trace, engine="columnar")
+    observed_core = make_core(config)
+    recorder = Recorder()
+    observed_core.add_observer(recorder)
+    observed = observed_core.run(trace, engine="columnar")
+    assert recorder.cycles == observed.cycles == default.cycles
+    assert observed.events == default.events
 
 
 # ----------------------------------------------------------------------
