@@ -1,11 +1,16 @@
-"""Fast-path core loops must be bit-identical to the traced loops.
+"""A core's fast production loop must be bit-identical to its traced loop.
 
-The tracerless fast path skips per-cycle signal-record allocation; the
-only acceptable difference is wall clock.  These tests pin the full
-result surface — event totals, cycles, instret, cache and predictor
-statistics — for both cores across a workload cross-section, plus the
-guard that refuses the fast path when an observer needs the records it
-skips.
+Each core keeps two cycle loops: the columnar production loop, which
+``core.run`` takes when nothing needs a per-cycle record, and the
+per-cycle ``core.steps`` generator, which is the observer, fault-hook
+and multicore path and the reference oracle.  The only acceptable
+difference is wall clock.  These tests pin the full result surface —
+event totals, per-lane splits, cycles, instret, cache and predictor
+statistics — for both cores across a workload cross-section, driving
+``steps`` directly the way the multicore harness does.
+
+The functional executor is pinned to ``compiled`` so the production
+loop gets a ``ColumnarTrace`` under every ``REPRO_EXEC_ENGINE``.
 """
 
 import dataclasses
@@ -13,6 +18,8 @@ import dataclasses
 import pytest
 
 from repro.cores import LARGE_BOOM, ROCKET, SMALL_BOOM
+from repro.cores.base import run_steps
+from repro.isa.columnar import ColumnarTrace
 from repro.pmu.harness import make_core
 from repro.workloads import build_trace
 
@@ -39,48 +46,10 @@ def result_digest(result):
 @pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM, LARGE_BOOM],
                          ids=lambda c: c.name)
 def test_fast_path_matches_traced_path(workload, config):
-    trace = build_trace(workload, scale=SCALE)
-    traced = make_core(config).run(trace, fast_path=False)
-    fast = make_core(config).run(trace, fast_path=True)
-    if isinstance(fast.lane_events, dict) and not fast.lane_events:
-        # The fast path reports no per-lane splits (nothing tracks
-        # them); totals must still agree exactly.
-        assert traced.events == fast.events
-        digest_traced = result_digest(traced)[2:]
-        digest_fast = result_digest(fast)[2:]
-        assert digest_traced == digest_fast
-    else:
-        assert result_digest(traced) == result_digest(fast)
-
-
-@pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
-                         ids=lambda c: c.name)
-def test_auto_path_is_fast_only_when_traceless(config):
-    trace = build_trace("median", scale=SCALE)
-    core = make_core(config)
-    auto = core.run(trace)
-    assert auto.events == make_core(config).run(trace,
-                                                fast_path=True).events
-
-    class Recorder:
-        def __init__(self):
-            self.cycles = 0
-
-        def on_cycle(self, cycle, signals):
-            self.cycles += 1
-
-    observed_core = make_core(config)
-    recorder = Recorder()
-    observed_core.add_observer(recorder)
-    observed = observed_core.run(trace)
-    assert recorder.cycles == observed.cycles
-    assert observed.events == auto.events
-
-
-@pytest.mark.parametrize("config", [ROCKET, SMALL_BOOM],
-                         ids=lambda c: c.name)
-def test_fast_path_refused_with_observer(config):
-    core = make_core(config)
-    core.add_observer(lambda cycle, signals: None)
-    with pytest.raises(ValueError):
-        core.run(build_trace("median", scale=SCALE), fast_path=True)
+    trace = build_trace(workload, scale=SCALE, engine="compiled")
+    assert isinstance(trace, ColumnarTrace)
+    oracle = make_core(config)
+    oracle.reset_run_state()
+    traced = run_steps(oracle.steps(trace))
+    fast = make_core(config).run(trace, engine="columnar")
+    assert result_digest(traced) == result_digest(fast)
